@@ -72,6 +72,12 @@ class ServingFrontend
      * Drain everything submitted so far and return the aggregated
      * serving report (the fleet facade aggregates across devices).
      * Subsequent submits start a fresh trace.
+     *
+     * To keep memory bounded, serving frees each chip's bandwidth
+     * bookings behind its clock (Dtu::retireLedgersBefore), except
+     * while a Stream holds a lease on that chip. Work issued later
+     * at an earlier tick, such as the next serve() from tick 0 or a
+     * Stream created afterwards, sees the freed stretch as idle.
      */
     virtual const serve::ServingReport &serve() = 0;
 

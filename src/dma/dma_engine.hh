@@ -110,6 +110,9 @@ class DmaEngine : public SimObject
     /** Tick at which the engine datapath next idles. */
     Tick freeAt() const { return pipe_->freeAt(); }
 
+    /** The engine's datapath pipe. */
+    BandwidthResource &pipe() { return *pipe_; }
+
     const DmaFeatures &features() const { return features_; }
 
     /** Cycles one configuration costs. */

@@ -1,22 +1,25 @@
 /**
  * @file
- * A serialized bandwidth resource.
+ * A serialized bandwidth resource and the capacity ledger behind it.
  *
  * Memory ports, HBM channels, the PCIe link, and DMA data paths are
  * all modelled as BandwidthResources: a pipe with a fixed byte rate
  * that serves requests in arrival order. A request arriving while the
  * pipe is busy queues behind the in-flight bytes, which is how
  * contention (e.g. two cores sharing an L2 port, or three DMA engines
- * hitting HBM) manifests as latency.
+ * hitting HBM) manifests as latency. Fabric links (fabric/fabric.hh)
+ * keep their bytes in the same CapacityLedger.
  */
 
 #ifndef DTU_MEM_BANDWIDTH_HH
 #define DTU_MEM_BANDWIDTH_HH
 
 #include <array>
+#include <cstddef>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
@@ -26,16 +29,108 @@ namespace dtu
 {
 
 /**
+ * The capacity ledger of one fixed-rate pipe.
+ *
+ * Time is divided into fixed 50 ns buckets; each bucket holds rate x
+ * bucket-width bytes of capacity. A reservation starting at tick t
+ * consumes idle capacity from bucket(t) forward (only the part of the
+ * first bucket after t is usable) and completes where its last byte
+ * lands. Reservations may arrive out of simulation order (sequential
+ * co-simulation of concurrent tenants): a later-submitted request for
+ * an earlier tick uses whatever capacity was still idle then, instead
+ * of queueing behind traffic that already finished.
+ *
+ * Occupancies live in 1024-bucket (8 KB) pages created on first
+ * touch, each with a bitmap of its full buckets. Pages this small keep
+ * the cost of zeroing new pages near the bytes actually booked:
+ * serving touches only a few buckets of most pages. The walk jumps
+ * over full buckets with a word scan of the bitmap and fills runs of
+ * empty buckets in a register loop. A full bucket can never take
+ * bytes, and every bucket that does take bytes sees the same
+ * floating-point operations in the same order as a bucket-by-bucket
+ * walk, so results are bit-identical to one. The rate is fixed at
+ * construction, so a full bucket stays full and its bit never needs
+ * clearing.
+ *
+ * Memory is bounded by retireBefore(), which frees the pages wholly
+ * before a horizon and so forgets the bookings in them. Results stay
+ * exact for a caller that reserves nothing before the horizon again;
+ * a later reservation there recreates the pages empty and sees that
+ * stretch as idle. Completion ticks saturate at maxTick instead of
+ * wrapping.
+ */
+class CapacityLedger
+{
+  public:
+    /** Width of one bucket: 50 ns. */
+    static constexpr Tick kBucketTicks = 50'000;
+    /** Buckets per page. */
+    static constexpr std::uint64_t kPageBuckets = 1024;
+
+    /**
+     * @param owner name used in error messages.
+     * @param bytes_per_second sustained rate; fatal unless positive,
+     *        finite, and large enough to fill a bucket.
+     */
+    CapacityLedger(const std::string &owner, double bytes_per_second);
+
+    /**
+     * Schedule @p bytes (> 0) of capacity starting at @p at.
+     * @return the tick the last byte lands, never before @p at, or
+     *         maxTick when the walk would run past it.
+     */
+    Tick reserve(Tick at, std::uint64_t bytes);
+
+    /**
+     * Free every page that lies wholly before @p horizon.
+     * @return the pages resident before the call.
+     */
+    std::size_t retireBefore(Tick horizon);
+
+    /** Ledger pages currently allocated. */
+    std::size_t residentPages() const { return pages_.size(); }
+
+  private:
+    static constexpr std::uint64_t kPageWords = kPageBuckets / 64;
+    /** Buckets at or past this index would complete beyond maxTick. */
+    static constexpr std::uint64_t kMaxBucket = maxTick / kBucketTicks;
+    /** A bucket with at most this much idle capacity takes no bytes. */
+    static constexpr double kFullEps = 1e-12;
+
+    /** Bytes scheduled per bucket, plus one "full" bit per bucket. */
+    struct Page
+    {
+        std::array<double, kPageBuckets> used{};
+        std::array<std::uint64_t, kPageWords> full{};
+    };
+
+    /** The page numbered @p page_no, created zeroed on first touch. */
+    Page &page(std::uint64_t page_no);
+
+    /** Record that bucket @p slot of @p page takes no more bytes. */
+    static void markFull(Page &page, std::uint64_t slot);
+
+    /** First slot at or after @p slot whose bucket is not full. */
+    static std::uint64_t nextOpen(const Page &page, std::uint64_t slot);
+
+    /** Completion tick of a reservation ending in bucket @p idx. */
+    Tick finish(std::uint64_t idx, double used, Tick at) const;
+
+    /** Capacity of one bucket in bytes. */
+    double bucketBytes_;
+    /** Ordered by page number, so retirement erases a prefix. */
+    std::map<std::uint64_t, std::unique_ptr<Page>> pages_;
+    /** Last page touched (page number + slots), the fast path. */
+    std::uint64_t cachedPageNo_ = ~std::uint64_t{0};
+    Page *cachedPage_ = nullptr;
+};
+
+/**
  * A capacity-ledger pipe with fixed bandwidth and per-access latency.
  *
- * Time is divided into fixed buckets; each bucket holds rate x
- * bucket-width bytes of capacity. A request starting at tick t
- * consumes capacity from bucket(t) forward and completes when its
- * last byte is scheduled. Requests submitted out of simulation order
- * (sequential co-simulation of concurrent tenants) therefore share
- * capacity fairly: a later-submitted request for an earlier tick
- * uses whatever capacity was still idle then, instead of queueing
- * behind traffic that already finished.
+ * The bandwidth is fixed for the resource's lifetime (DVFS scales
+ * core clocks, not these pipes), which is what lets the ledger treat
+ * a full bucket as full forever.
  */
 class BandwidthResource : public SimObject
 {
@@ -71,9 +166,6 @@ class BandwidthResource : public SimObject
     /** Configured bandwidth in bytes/second. */
     double bytesPerSecond() const { return bytesPerSecond_; }
 
-    /** Change the bandwidth (used by DVFS on core-side ports). */
-    void setBytesPerSecond(double bytes_per_second);
-
     /** Pure service time for @p bytes with no queueing (ticks). */
     Tick serviceTime(std::uint64_t bytes) const;
 
@@ -86,35 +178,24 @@ class BandwidthResource : public SimObject
     /** Busy time as a fraction of [0, now]. */
     double utilization() const;
 
+    /**
+     * Free the ledger pages wholly before @p horizon (see
+     * CapacityLedger::retireBefore).
+     * @return the pages resident before the call.
+     */
+    std::size_t
+    retireBefore(Tick horizon)
+    {
+        return ledger_.retireBefore(horizon);
+    }
+
+    /** Ledger pages currently allocated. */
+    std::size_t residentPages() const { return ledger_.residentPages(); }
+
   private:
-    /** Capacity of one ledger bucket in bytes. */
-    double bucketBytes() const;
-
-    /** Buckets per ledger page. */
-    static constexpr std::uint64_t kPageBuckets = 4096;
-
-    /** One contiguous run of bucket occupancies, zero-initialized. */
-    using Page = std::array<double, kPageBuckets>;
-
-    /** The "bytes already scheduled" slot for bucket @p idx. */
-    double &usedAt(std::uint64_t idx);
-
     double bytesPerSecond_;
     Tick accessLatency_;
-    /** Ledger bucket width. */
-    Tick bucketTicks_ = 50'000; // 50 ns
-    /**
-     * Bytes already scheduled per bucket index, stored as paged flat
-     * arrays: transfers walk consecutive buckets, so nearly every
-     * lookup hits the cached last page instead of hashing (the
-     * per-bucket unordered_map this replaces dominated serving-run
-     * profiles). Values and arithmetic are unchanged — results stay
-     * bit-identical.
-     */
-    std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
-    /** Last page touched (page number + slots), the fast path. */
-    std::uint64_t cachedPageNo_ = ~std::uint64_t{0};
-    Page *cachedPage_ = nullptr;
+    CapacityLedger ledger_;
     Tick freeAt_ = 0;
     double busyBytes_ = 0.0;
 

@@ -70,6 +70,13 @@ class Hbm : public SimObject
      */
     void setFaultInjector(FaultInjector *faults) { faults_ = faults; }
 
+    /** Append every channel pipe to @p out. */
+    void appendLedgers(std::vector<BandwidthResource *> &out)
+    {
+        for (auto &channel : channels_)
+            out.push_back(channel.get());
+    }
+
   private:
     std::uint64_t capacity_;
     double totalBandwidth_;

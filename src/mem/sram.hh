@@ -75,6 +75,15 @@ class Sram : public SimObject
     /** Aggregate bytes moved across all ports. */
     double totalBytes() const;
 
+    /** Append every port pipe, the DMA fill port included, to @p out. */
+    void appendLedgers(std::vector<BandwidthResource *> &out)
+    {
+        for (auto &port : ports_)
+            out.push_back(port.get());
+        if (dmaPort_)
+            out.push_back(dmaPort_.get());
+    }
+
   private:
     MemLevel level_;
     std::uint64_t capacity_;

@@ -700,6 +700,13 @@ Scheduler::executeBatch(const ExecutionPlan &p,
     const bool corpus = energyMon_ && energyMon_->corpusEnabled();
     if (corpus)
         exec_opts.trace = true;
+    // Bound ledger memory: free the bandwidth bookings behind the
+    // serving clock, since every later launch of this serve starts at
+    // or after `now`. A live stream (a tenant below tenantBase) may
+    // still issue work at a lagging cursor, so keep them all while
+    // one holds a lease.
+    if (!manager_.leasedBelow(config_.tenantBase))
+        dtu_.retireLedgersBefore(now);
     Executor executor(dtu_, groups, exec_opts);
     // Poisoned executions (uncorrectable ECC, exhausted DMA retries)
     // re-run on the same lease up to max_retries times; the lease is

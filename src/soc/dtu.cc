@@ -81,6 +81,16 @@ Dtu::Dtu(const DtuConfig &config)
                 pg.icache(i).setTracer(&tracer_);
         }
     }
+
+    ledgers_.push_back(pcie_.get());
+    hbm_->appendLedgers(ledgers_);
+    for (unsigned gid = 0; gid < totalGroups(); ++gid) {
+        ProcessingGroup &pg = group(gid);
+        pg.l2().appendLedgers(ledgers_);
+        for (unsigned i = 0; i < pg.numCores(); ++i)
+            pg.l1(i).appendLedgers(ledgers_);
+        ledgers_.push_back(&pg.dma().pipe());
+    }
 }
 
 // Out of line: Dtu holds a unique_ptr to the forward-declared
@@ -115,6 +125,30 @@ Dtu::setCoreFrequency(double hz)
 {
     for (auto &clock : coreClocks_)
         clock->setFrequency(hz);
+}
+
+void
+Dtu::retireLedgersBefore(Tick horizon)
+{
+    std::size_t resident = 0;
+    for (BandwidthResource *pipe : ledgers_)
+        resident += pipe->retireBefore(horizon);
+    ledgerPeakPages_ = std::max(ledgerPeakPages_, resident);
+}
+
+std::size_t
+Dtu::ledgerResidentPages() const
+{
+    std::size_t pages = 0;
+    for (const BandwidthResource *pipe : ledgers_)
+        pages += pipe->residentPages();
+    return pages;
+}
+
+std::size_t
+Dtu::ledgerPeakPages() const
+{
+    return std::max(ledgerPeakPages_, ledgerResidentPages());
 }
 
 obs::PerfMonitor &

@@ -146,6 +146,32 @@ class Dtu
     /** The installed trail, or nullptr. */
     PowerAuditTrail *powerAudit() { return powerAudit_.get(); }
 
+    //
+    // Bandwidth-ledger residency. Every bandwidth pipe on the chip
+    // (HBM channels, PCIe, SRAM ports, DMA datapaths) keeps a paged
+    // capacity ledger. A caller that issues no more work before some
+    // tick, like the serving scheduler at its clock, can free the
+    // pages behind it so memory stays bounded by the in-flight window
+    // instead of growing with simulated time.
+    //
+
+    /**
+     * Free every chip ledger page wholly before @p horizon. Timing is
+     * unchanged for work issued at or after the horizon. Work issued
+     * before it later on sees the freed stretch as idle bandwidth:
+     * the bookings made there are forgotten.
+     */
+    void retireLedgersBefore(Tick horizon);
+
+    /** Ledger pages resident across the chip's bandwidth pipes. */
+    std::size_t ledgerResidentPages() const;
+
+    /**
+     * Most ledger pages the chip held at any retirement or now. Pages
+     * are only freed at retirements, so this is the true peak.
+     */
+    std::size_t ledgerPeakPages() const;
+
   private:
     DtuConfig config_;
     EventQueue queue_;
@@ -161,6 +187,10 @@ class Dtu
     std::unique_ptr<FaultInjector> faults_;
     std::unique_ptr<obs::PerfMonitor> perfMon_;
     std::unique_ptr<PowerAuditTrail> powerAudit_;
+    /** Every bandwidth pipe on the chip (owned by the components). */
+    std::vector<BandwidthResource *> ledgers_;
+    /** Resident ledger pages at the fullest retirement. */
+    std::size_t ledgerPeakPages_ = 0;
 };
 
 } // namespace dtu

@@ -64,6 +64,11 @@ class ResourceManager
     bool isLeased(unsigned gid) const;
     /** The tenant holding @p gid, or -1. */
     int tenantOf(unsigned gid) const;
+    /** True when a tenant id below @p tenant holds a lease. */
+    bool leasedBelow(int tenant) const
+    {
+        return !tenants_.empty() && tenants_.begin()->first < tenant;
+    }
 
     //
     // Lease accounting. The serving runtime uses these to report

@@ -481,4 +481,44 @@ TEST(FleetTest, MisconfiguredFleetIsFatal)
     EXPECT_THROW(Fleet({{&chip, &rm}}, config), FatalError);
 }
 
+//
+// Bandwidth-ledger residency: serving retires ledger pages behind its
+// clock, so chip memory tracks the in-flight window, not the trace.
+// That retirement leaves every report byte-identical: the goldens in
+// tests/golden/ predate it and still match.
+//
+
+/**
+ * Serve @p per_model requests per model on two chips. Returns the
+ * fleet makespan and sets @p peak_pages to the fuller chip's peak.
+ */
+Tick
+serveForResidency(unsigned per_model, std::size_t &peak_pages)
+{
+    FleetConfig config;
+    config.devices = 2;
+    config.routing = RoutingPolicy::LeastOutstanding;
+    config.serving = fleetServingConfig();
+    FleetServer fleet(config);
+    fleet.submit(mixedTrace(/*seed=*/41, per_model));
+    const FleetReport &report = fleet.serveFleet();
+    peak_pages = 0;
+    for (unsigned d = 0; d < fleet.size(); ++d)
+        peak_pages =
+            std::max(peak_pages, fleet.device(d).chip().ledgerPeakPages());
+    return report.fleet.makespan;
+}
+
+TEST(FleetTest, LedgerResidencyDoesNotGrowWithTraceLength)
+{
+    std::size_t short_peak = 0, long_peak = 0;
+    Tick short_span = serveForResidency(24, short_peak);
+    Tick long_span = serveForResidency(96, long_peak);
+    ASSERT_GT(short_peak, 0u);
+    // 4x the requests over more than 3x the simulated time: the peak
+    // moves only with the burstiest window, not with the length.
+    EXPECT_GT(long_span, 3 * short_span);
+    EXPECT_LE(long_peak, short_peak + short_peak / 4);
+}
+
 } // namespace

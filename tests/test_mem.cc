@@ -60,6 +60,18 @@ TEST(Bandwidth, FutureTransfersDoNotQueueBehindNothing)
     EXPECT_EQ(done, 6'000'000u);
 }
 
+TEST(Bandwidth, CompletionSaturatesNearMaxTick)
+{
+    MemHarness h;
+    BandwidthResource pipe("edge", h.queue, &h.stats, 1e9, 500);
+    // Regression: the ledger walk computed idx * bucket past maxTick
+    // and the access latency was added unchecked, so a transfer with
+    // no headroom wrapped into the distant past. It now saturates.
+    EXPECT_EQ(pipe.transferAt(maxTick - 10, 64ull << 20), maxTick);
+    EXPECT_EQ(pipe.transferAt(maxTick - 10, 0), maxTick);
+    EXPECT_EQ(pipe.freeAt(), maxTick);
+}
+
 TEST(Bandwidth, RejectsNonPositiveRate)
 {
     MemHarness h;

@@ -14,11 +14,13 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <unordered_map>
 
 #include "compiler/lowering.hh"
 #include "core/matrix_engine.hh"
 #include "dma/dma_engine.hh"
 #include "dma/sparse_codec.hh"
+#include "fabric/fabric.hh"
 #include "models/model_zoo.hh"
 #include "runtime/executor.hh"
 #include "serve/arrival.hh"
@@ -556,6 +558,280 @@ TEST(EventQueueProperty, DestroyingScheduledEventRemovesItSafely)
     q.run();
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.now(), 20u);
+}
+
+//
+// The capacity ledger against the bucket-by-bucket reference walk.
+//
+// CapacityLedger (mem/bandwidth) skips full buckets with a bitmap
+// scan, fills empty runs in a register loop, and retires pages behind
+// a horizon. None of that may change a single bit of the answer: the
+// reference below is the plain walk it replaced, one hash lookup per
+// bucket, with the fabric link's maxTick saturation.
+//
+
+/** The per-bucket ledger walk, kept as a reference model. */
+struct RefLedger
+{
+    static constexpr Tick kBucketTicks = 50'000;
+
+    explicit RefLedger(double bytes_per_second)
+        : cap(bytes_per_second * ticksToSeconds(kBucketTicks))
+    {
+    }
+
+    Tick
+    reserve(Tick at, std::uint64_t bytes)
+    {
+        const std::uint64_t max_bucket = maxTick / kBucketTicks;
+        double remaining = static_cast<double>(bytes);
+        std::uint64_t idx = at / kBucketTicks;
+        double first_frac =
+            1.0 - static_cast<double>(at - idx * kBucketTicks) /
+                      static_cast<double>(kBucketTicks);
+        Tick done = at;
+        while (remaining > 0.0) {
+            if (idx >= max_bucket) {
+                done = maxTick;
+                break;
+            }
+            double bucket_cap =
+                cap * (idx == at / kBucketTicks ? first_frac : 1.0);
+            double &u = used[idx];
+            double avail = bucket_cap - u;
+            if (avail > 1e-12) {
+                double take = std::min(avail, remaining);
+                u += take;
+                remaining -= take;
+                double filled_frac = u / cap;
+                done = saturatingAddTicks(
+                    idx * kBucketTicks,
+                    static_cast<Tick>(
+                        filled_frac * static_cast<double>(kBucketTicks) +
+                        0.5));
+            }
+            if (remaining > 0.0)
+                ++idx;
+        }
+        return std::max(done, at);
+    }
+
+    double cap;
+    std::unordered_map<std::uint64_t, double> used;
+};
+
+/** BandwidthResource's accounting over the reference walk. */
+struct RefPipe
+{
+    RefPipe(double bytes_per_second, Tick latency)
+        : ledger(bytes_per_second), bps(bytes_per_second),
+          latency(latency)
+    {
+    }
+
+    Tick
+    transferAt(Tick at, std::uint64_t bytes)
+    {
+        if (bytes == 0)
+            return saturatingAddTicks(at, latency);
+        Tick done = ledger.reserve(at, bytes);
+        freeAt = std::max(freeAt, done);
+        Tick completion = saturatingAddTicks(done, latency);
+        Tick pure =
+            latency + static_cast<Tick>(static_cast<double>(bytes) *
+                                            static_cast<double>(
+                                                ticksPerSecond) /
+                                            bps +
+                                        0.5);
+        Tick unqueued = saturatingAddTicks(at, pure);
+        if (completion > unqueued)
+            wait += static_cast<double>(completion - unqueued);
+        return completion;
+    }
+
+    RefLedger ledger;
+    double bps;
+    Tick latency;
+    Tick freeAt = 0;
+    double wait = 0.0;
+};
+
+/** fabric::Link's accounting over the reference walk. */
+struct RefLink
+{
+    explicit RefLink(double gbps) : ledger(gbps * 1e9), bps(gbps * 1e9) {}
+
+    Tick
+    transferAt(Tick at, std::uint64_t bytes)
+    {
+        if (bytes == 0)
+            return at;
+        Tick done = ledger.reserve(at, bytes);
+        freeAt = std::max(freeAt, done);
+        Tick unqueued = saturatingAddTicks(
+            at, secondsToTicks(static_cast<double>(bytes) / bps));
+        if (done > unqueued)
+            wait = saturatingAddTicks(wait, done - unqueued);
+        return done;
+    }
+
+    RefLedger ledger;
+    double bps;
+    Tick freeAt = 0;
+    Tick wait = 0;
+};
+
+/** One step of a random ledger workload. */
+struct LedgerOp
+{
+    /** Raise the retirement horizon to this tick first (0 = don't). */
+    Tick retire = 0;
+    Tick at = 0;
+    std::uint64_t bytes = 0;
+};
+
+/**
+ * A random out-of-order stream for a pipe of @p bytes_per_second:
+ * dense overlapping traffic in a window just past the horizon (full
+ * buckets everywhere, aligned and unaligned starts), zero-byte and
+ * multi-page transfers, sparse far-future ticks, transfers that
+ * saturate at maxTick, and — with @p retire — a rising horizon.
+ */
+std::vector<LedgerOp>
+randomLedgerOps(std::uint64_t seed, double bytes_per_second, bool retire)
+{
+    constexpr Tick kBucket = RefLedger::kBucketTicks;
+    constexpr double kPageBuckets = CapacityLedger::kPageBuckets;
+    constexpr Tick kPage = CapacityLedger::kPageBuckets * kBucket;
+    constexpr Tick kWindow = 16384 * kBucket;
+    const double bucket_bytes = bytes_per_second * ticksToSeconds(kBucket);
+    Random rng(seed);
+    Tick horizon = 0;
+    std::vector<LedgerOp> ops;
+    for (unsigned i = 0; i < 200; ++i) {
+        LedgerOp op;
+        if (retire && rng.uniform() < 0.05) {
+            horizon += rng.next() % (4 * kPage);
+            op.retire = horizon;
+        }
+        double where = rng.uniform();
+        if (where < 0.03)
+            op.at = 1'000'000'000'000'000ULL + rng.next() % kWindow;
+        else if (where < 0.05)
+            op.at = maxTick - rng.next() % (64 * kBucket);
+        else
+            op.at = horizon + rng.next() % kWindow;
+        if (rng.uniform() < 0.2)
+            op.at -= op.at % kBucket;
+        op.at = std::max(op.at, horizon);
+        // 5% zero-byte, 1% spanning 4-12 pages, 34% within one
+        // bucket, the rest up to 64 buckets.
+        double size = rng.uniform();
+        double buckets = size < 0.05 ? 0.0
+                         : size < 0.06
+                             ? 4 * kPageBuckets * (1 + 2 * rng.uniform())
+                         : size < 0.40 ? rng.uniform()
+                                       : 64.0 * rng.uniform();
+        op.bytes = static_cast<std::uint64_t>(buckets * bucket_bytes);
+        ops.push_back(op);
+    }
+    return ops;
+}
+
+/** Bandwidths with round, odd, slow, and fast bucket capacities. */
+constexpr double kLedgerRates[] = {1e9, 3.7e9, 16e9, 256e9, 1234.5e6};
+
+TEST(LedgerProperty, PipeMatchesPerBucketWalk)
+{
+    unsigned saturated = 0;
+    for (double bps : kLedgerRates) {
+        for (std::uint64_t seed : {1u, 7u, 42u}) {
+            for (bool retire : {false, true}) {
+                EventQueue queue;
+                StatRegistry stats;
+                BandwidthResource pipe("pipe", queue, &stats, bps, 500);
+                RefPipe ref(bps, 500);
+                unsigned step = 0;
+                for (const LedgerOp &op :
+                     randomLedgerOps(seed, bps, retire)) {
+                    if (op.retire)
+                        pipe.retireBefore(op.retire);
+                    Tick done = pipe.transferAt(op.at, op.bytes);
+                    ASSERT_EQ(done, ref.transferAt(op.at, op.bytes))
+                        << bps << " B/s seed " << seed << " step " << step;
+                    ASSERT_EQ(pipe.freeAt(), ref.freeAt);
+                    ASSERT_EQ(pipe.totalWait(), ref.wait);
+                    saturated += done == maxTick;
+                    ++step;
+                }
+                EXPECT_EQ(stats.lookup("pipe.wait_ticks"), ref.wait);
+            }
+        }
+    }
+    EXPECT_GT(saturated, 0u);
+}
+
+TEST(LedgerProperty, FabricLinkMatchesPerBucketWalk)
+{
+    unsigned saturated = 0;
+    for (double bps : kLedgerRates) {
+        for (std::uint64_t seed : {3u, 11u, 99u}) {
+            fabric::Link link("link", bps / 1e9);
+            RefLink ref(bps / 1e9);
+            unsigned step = 0;
+            for (const LedgerOp &op : randomLedgerOps(seed, bps, false)) {
+                Tick done = link.transferAt(op.at, op.bytes);
+                ASSERT_EQ(done, ref.transferAt(op.at, op.bytes))
+                    << bps << " B/s seed " << seed << " step " << step;
+                ASSERT_EQ(link.freeAt(), ref.freeAt);
+                ASSERT_EQ(link.totalWaitTicks(), ref.wait);
+                saturated += done == maxTick;
+                ++step;
+            }
+        }
+    }
+    EXPECT_GT(saturated, 0u);
+}
+
+TEST(LedgerProperty, RetiringFreesOnlyPagesBehindTheHorizon)
+{
+    EventQueue queue;
+    BandwidthResource pipe("pipe", queue, nullptr, 1e9);
+    constexpr Tick kPage =
+        CapacityLedger::kPageBuckets * CapacityLedger::kBucketTicks;
+    pipe.transferAt(0, 1000);
+    pipe.transferAt(3 * kPage + 7, 1000);
+    ASSERT_EQ(pipe.residentPages(), 2u);
+    // A horizon inside page 3 keeps it: later transfers may land there.
+    pipe.retireBefore(3 * kPage + 5);
+    EXPECT_EQ(pipe.residentPages(), 1u);
+    // A lower horizon is a no-op, not a rewind.
+    pipe.retireBefore(kPage);
+    EXPECT_NO_THROW(pipe.transferAt(3 * kPage + 5, 64));
+}
+
+TEST(LedgerProperty, TransferBeforeRetiredHorizonSeesIdleCapacity)
+{
+    // Retiring forgets the bookings in the freed pages: a later
+    // transfer there recreates them empty, as on a fresh pipe, while
+    // the kept pages still hold theirs.
+    EventQueue queue;
+    BandwidthResource pipe("pipe", queue, nullptr, 1e9);
+    BandwidthResource kept("kept", queue, nullptr, 1e9);
+    BandwidthResource fresh("fresh", queue, nullptr, 1e9);
+    constexpr Tick kPage =
+        CapacityLedger::kPageBuckets * CapacityLedger::kBucketTicks;
+    // Four pages' worth at 1 GB/s: 4 x 51.2 us.
+    constexpr std::uint64_t kBytes = 4 * 51'200;
+    const Tick busy_end = pipe.transferAt(0, kBytes);
+    ASSERT_EQ(kept.transferAt(0, kBytes), busy_end);
+    EXPECT_EQ(pipe.retireBefore(2 * kPage + 5), 4u);
+    EXPECT_EQ(pipe.residentPages(), 2u);
+    EXPECT_EQ(pipe.transferAt(7, 64), fresh.transferAt(7, 64));
+    EXPECT_EQ(pipe.residentPages(), 3u);
+    const Tick late = pipe.transferAt(2 * kPage, 64);
+    EXPECT_EQ(late, kept.transferAt(2 * kPage, 64));
+    EXPECT_GT(late, busy_end);
 }
 
 } // namespace

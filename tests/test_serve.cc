@@ -10,6 +10,8 @@
 #include <sstream>
 
 #include "api/server.hh"
+#include "compiler/lowering.hh"
+#include "models/model_zoo.hh"
 #include "serve/arrival.hh"
 #include "serve/scheduler.hh"
 #include "sim/logging.hh"
@@ -356,6 +358,85 @@ TEST(ServerTest, CoexistsWithLiveStreams)
     const ServingReport &report = server.serve();
     EXPECT_EQ(report.requests, 6u);
     EXPECT_EQ(device.resources().activeGroups(), 3u); // the stream
+}
+
+//
+// Serving frees each chip's bandwidth bookings behind its clock to
+// bound memory. Work the device accepted before that still runs: a
+// second serve, a live stream, and a stream created afterwards.
+//
+
+TEST(ServerTest, ServesTwiceOnOneDevice)
+{
+    // The second trace starts at tick 0 again, inside the stretch the
+    // first serve freed.
+    Device device;
+    Server server(device);
+    server.submit(fixedRateTrace("conformer", 2000.0, 40));
+    const Tick first_span = server.serve().makespan;
+    EXPECT_EQ(server.lastReport().requests, 40u);
+
+    server.submit(fixedRateTrace("conformer", 2000.0, 40));
+    const ServingReport &second = server.serve();
+    EXPECT_EQ(second.submitted, 40u);
+    EXPECT_EQ(second.requests, 40u);
+    EXPECT_GT(second.makespan, 0u);
+    EXPECT_LE(second.makespan, 2 * first_span);
+    EXPECT_EQ(device.resources().activeGroups(), 0u);
+}
+
+TEST(ServerTest, LiveStreamKeepsTheLedgerAndRunsAfterServe)
+{
+    // A stream's cursor may lag the serving clock, so while one holds
+    // a lease serving frees nothing and the stream's later work sees
+    // every booking.
+    auto trace = fixedRateTrace("conformer", 2000.0, 40);
+    Device plain;
+    Server plain_server(plain);
+    plain_server.submit(trace);
+    plain_server.serve();
+
+    Device device;
+    std::optional<Stream> stream = device.createStream(1);
+    ASSERT_TRUE(stream.has_value());
+    Server server(device);
+    server.submit(trace);
+    EXPECT_EQ(server.serve().requests, 40u);
+    EXPECT_GT(device.chip().ledgerResidentPages(),
+              4 * plain.chip().ledgerResidentPages());
+
+    DeviceBuffer buffer = device.malloc(1 << 20);
+    ASSERT_EQ(stream->cursor(), 0u);
+    stream->memcpyH2D(buffer, 1 << 20);
+    stream->run(compile(models::buildResnet50(), device.properties(),
+                        DType::FP16, 1));
+    stream->memcpyD2H(buffer, 1 << 20);
+    EXPECT_GT(stream->synchronize(), 0u);
+}
+
+TEST(ServerTest, StreamCreatedAfterServeSeesTheFreedStretchIdle)
+{
+    // Serving frees the bookings behind its last launch; a stream
+    // created afterwards starts at tick 0, inside that stretch, and
+    // finds the bandwidth there idle, as on a fresh device.
+    Device served;
+    Server server(served);
+    server.submit(fixedRateTrace("conformer", 2000.0, 40));
+    ASSERT_GT(server.serve().makespan, secondsToTicks(1e-3));
+    std::optional<Stream> late = served.createStream(1);
+    ASSERT_TRUE(late.has_value());
+
+    Device fresh;
+    std::optional<Stream> reference = fresh.createStream(1);
+    ASSERT_TRUE(reference.has_value());
+
+    for (auto [device, stream] : {std::pair{&served, &*late},
+                                  std::pair{&fresh, &*reference}}) {
+        DeviceBuffer buffer = device->malloc(1 << 20);
+        stream->memcpyH2D(buffer, 1 << 20);
+    }
+    EXPECT_GT(late->synchronize(), 0u);
+    EXPECT_EQ(late->synchronize(), reference->synchronize());
 }
 
 } // namespace
