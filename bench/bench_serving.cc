@@ -28,7 +28,7 @@
 
 #include "bench_common.hh"
 #include "serve/arrival.hh"
-#include "serve/scheduler.hh"
+#include "serve/fleet.hh"
 
 using namespace dtu;
 using namespace dtu::bench;
@@ -66,10 +66,12 @@ runCell(const std::vector<serve::Request> &trace, unsigned max_batch,
 {
     Dtu chip(dtu2Config());
     ResourceManager rm(chip);
-    serve::ServingConfig config = policyConfig(max_batch);
-    config.exec.timeline = !timeline_path.empty();
-    serve::Scheduler scheduler(chip, rm, config);
-    serve::ServingReport report = scheduler.serve(trace);
+    serve::FleetConfig one_device;
+    one_device.serving = policyConfig(max_batch);
+    one_device.serving.exec.timeline = !timeline_path.empty();
+    serve::Fleet fleet({{&chip, &rm}}, one_device);
+    serve::ServingReport report =
+        std::move(fleet.serve(trace).perDevice.front().report);
     if (!timeline_path.empty())
         chip.tracer().writeChromeTrace(timeline_path);
     return report;

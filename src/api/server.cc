@@ -1,10 +1,8 @@
 #include "api/server.hh"
 
-#include <cmath>
 #include <fstream>
 
 #include "obs/prometheus.hh"
-#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace dtu
@@ -22,11 +20,167 @@ servingGauge(std::ostream &os, const std::string &metric,
     os << metric << " " << obs::promSampleValue(v) << "\n";
 }
 
-/** Generation gauges under @p prefix, when the last run generated. */
+} // namespace
+
 void
-writeGenerationGauges(std::ostream &os, const std::string &prefix,
-                      const serve::ServingReport &r)
+ServingFrontend::openFleet(std::vector<serve::Fleet::Member> members,
+                           serve::FleetConfig config)
 {
+    for (const serve::Fleet::Member &m : members)
+        chips_.push_back(m.dtu);
+    fleet_ = std::make_unique<serve::Fleet>(std::move(members),
+                                            std::move(config));
+}
+
+std::uint64_t
+ServingFrontend::submit(const serve::RequestSpec &spec)
+{
+    pending_.push_back(serve::makeRequest(spec, nextId_++));
+    return pending_.back().id;
+}
+
+void
+ServingFrontend::submit(const std::vector<serve::Request> &trace)
+{
+    pending_.reserve(pending_.size() + trace.size());
+    for (serve::Request r : trace) {
+        r.id = nextId_++;
+        pending_.push_back(std::move(r));
+    }
+}
+
+serve::FleetReport
+ServingFrontend::drain()
+{
+    // (Re)hook every installed fault injector into the recorder here
+    // rather than at enableFlightRecorder() time, so installFaults()
+    // may come in either order.
+    if (flightRec_) {
+        for (unsigned i = 0; i < chips_.size(); ++i) {
+            FaultInjector *inj = chips_[i]->faults();
+            if (!inj)
+                continue;
+            obs::FlightRecorder *rec = flightRec_.get();
+            inj->onFault([rec, i](const InjectedFault &f) {
+                rec->trigger("fault:" +
+                                 std::string(faultKindName(f.kind)) +
+                                 " dev" + std::to_string(i),
+                             f.at);
+            });
+        }
+    }
+    serve::FleetReport report = fleet_->serve(std::move(pending_));
+    pending_.clear();
+    served_ = true;
+    return report;
+}
+
+obs::SloMonitor &
+ServingFrontend::enableSloMonitor(obs::SloConfig config)
+{
+    fatalIf(sloMon_ != nullptr, "frontend already has an SLO monitor");
+    sloMon_ = std::make_unique<obs::SloMonitor>(config);
+    fleet_->setSloMonitor(sloMon_.get());
+    wireFlightAlerts();
+    return *sloMon_;
+}
+
+obs::RequestTracer &
+ServingFrontend::enableRequestTracing(obs::RequestTraceConfig config)
+{
+    fatalIf(reqTracer_ != nullptr,
+            "frontend already has a request tracer");
+    reqTracer_ = std::make_unique<obs::RequestTracer>(config);
+    fleet_->setRequestTracer(reqTracer_.get());
+    if (flightRec_)
+        reqTracer_->setFlightRecorder(flightRec_.get());
+    return *reqTracer_;
+}
+
+obs::EnergyMonitor &
+ServingFrontend::enableEnergyMonitor(obs::EnergyMonitorConfig config)
+{
+    fatalIf(energyMon_ != nullptr,
+            "frontend already has an energy monitor");
+    energyMon_ = std::make_unique<obs::EnergyMonitor>(config);
+    for (unsigned i = 0; i < chips_.size(); ++i)
+        energyMon_->attach(i, *chips_[i]);
+    fleet_->setEnergyMonitor(energyMon_.get());
+    if (flightRec_)
+        energyMon_->setFlightRecorder(flightRec_.get());
+    return *energyMon_;
+}
+
+void
+ServingFrontend::writeEnergyReport(const std::string &path)
+{
+    fatalIf(energyMon_ == nullptr,
+            "writeEnergyReport() needs enableEnergyMonitor()");
+    std::ofstream file(path);
+    fatalIf(!file, "cannot open energy report '", path, "'");
+    energyMon_->writeJson(file);
+    fatalIf(!file.good(), "error writing energy report '", path, "'");
+}
+
+obs::FlightRecorder &
+ServingFrontend::enableFlightRecorder(obs::FlightRecorderConfig config)
+{
+    fatalIf(flightRec_ != nullptr,
+            "frontend already has a flight recorder");
+    flightRec_ = std::make_unique<obs::FlightRecorder>(config);
+    if (reqTracer_)
+        reqTracer_->setFlightRecorder(flightRec_.get());
+    if (energyMon_)
+        energyMon_->setFlightRecorder(flightRec_.get());
+    wireFlightAlerts();
+    return *flightRec_;
+}
+
+void
+ServingFrontend::wireFlightAlerts()
+{
+    // The incident sources are SLO *burn-rate* alerts and injected
+    // faults; p99 alerts still land in SloMonitor::alerts().
+    if (!sloMon_ || !flightRec_ || flightAlertsWired_)
+        return;
+    flightAlertsWired_ = true;
+    obs::FlightRecorder *rec = flightRec_.get();
+    sloMon_->addAlertListener([rec](const obs::SloAlert &alert) {
+        if (alert.kind == "slo_burn_rate")
+            rec->trigger("slo:" + alert.kind, alert.at);
+    });
+}
+
+std::vector<const Tracer *>
+ServingFrontend::chipTracers() const
+{
+    std::vector<const Tracer *> tracers;
+    for (Dtu *chip : chips_)
+        tracers.push_back(&chip->tracer());
+    return tracers;
+}
+
+void
+ServingFrontend::writeServingGauges(std::ostream &os,
+                                    const std::string &prefix,
+                                    const serve::ServingReport &r)
+{
+    servingGauge(os, prefix + "_submitted",
+                 "requests the last serve submitted",
+                 static_cast<double>(r.submitted));
+    servingGauge(os, prefix + "_requests",
+                 "requests the last serve completed",
+                 static_cast<double>(r.requests));
+    servingGauge(os, prefix + "_achieved_qps", "sustained throughput",
+                 r.achievedQps);
+    servingGauge(os, prefix + "_goodput_qps", "in-deadline throughput",
+                 r.goodputQps);
+    servingGauge(os, prefix + "_latency_p50_ms", "median latency",
+                 r.p50Ms);
+    servingGauge(os, prefix + "_latency_p99_ms", "tail latency",
+                 r.p99Ms);
+    servingGauge(os, prefix + "_availability", "completed / submitted",
+                 r.availability);
     if (!r.hasGeneration)
         return;
     const serve::GenerationReport &g = r.generation;
@@ -45,283 +199,74 @@ writeGenerationGauges(std::ostream &os, const std::string &prefix,
                  static_cast<double>(g.kvPagesInUseAtEnd));
 }
 
-} // namespace
-
 Server::Server(Device &device, serve::ServingConfig config)
-    : device_(device), config_(config),
-      scheduler_(device.chip(), device.resources(), config)
-{}
-
-std::uint64_t
-Server::submit(const serve::RequestSpec &spec)
+    : device_(device)
 {
-    pending_.push_back(serve::makeRequest(spec, nextId_++));
-    return pending_.back().id;
-}
-
-std::uint64_t
-Server::submit(const std::string &model, Tick arrival, Tick deadline)
-{
-    return submit(serve::RequestSpec{model, {}, arrival, deadline, {}});
-}
-
-void
-Server::submit(const std::vector<serve::Request> &trace)
-{
-    pending_.reserve(pending_.size() + trace.size());
-    for (serve::Request r : trace) {
-        r.id = nextId_++;
-        pending_.push_back(std::move(r));
-    }
+    serve::FleetConfig one_device;
+    one_device.serving = std::move(config);
+    openFleet({{&device.chip(), &device.resources()}},
+              std::move(one_device));
 }
 
 const serve::ServingReport &
 Server::serve()
 {
-    last_ = scheduler_.serve(std::move(pending_));
-    pending_.clear();
-    served_ = true;
+    last_ = std::move(drain().perDevice.front().report);
     return last_;
-}
-
-obs::SloMonitor &
-Server::enableSloMonitor(obs::SloConfig config)
-{
-    fatalIf(sloMon_ != nullptr, "server already has an SLO monitor");
-    sloMon_ = std::make_unique<obs::SloMonitor>(config);
-    scheduler_.setSloMonitor(sloMon_.get());
-    return *sloMon_;
-}
-
-obs::RequestTracer &
-Server::enableRequestTracing(obs::RequestTraceConfig config)
-{
-    fatalIf(reqTracer_ != nullptr,
-            "server already has a request tracer");
-    reqTracer_ = std::make_unique<obs::RequestTracer>(config);
-    scheduler_.setRequestTracer(reqTracer_.get(), 0);
-    return *reqTracer_;
-}
-
-obs::EnergyMonitor &
-Server::enableEnergyMonitor(obs::EnergyMonitorConfig config)
-{
-    fatalIf(energyMon_ != nullptr,
-            "server already has an energy monitor");
-    energyMon_ = std::make_unique<obs::EnergyMonitor>(config);
-    energyMon_->attach(0, device_.chip());
-    scheduler_.setEnergyMonitor(energyMon_.get(), 0);
-    return *energyMon_;
-}
-
-void
-Server::writeEnergyReport(const std::string &path)
-{
-    fatalIf(energyMon_ == nullptr,
-            "writeEnergyReport() needs enableEnergyMonitor()");
-    std::ofstream file(path);
-    fatalIf(!file, "cannot open energy report '", path, "'");
-    energyMon_->writeJson(file);
-    fatalIf(!file.good(), "error writing energy report '", path, "'");
 }
 
 void
 Server::writeRequestTrace(const std::string &path)
 {
-    fatalIf(reqTracer_ == nullptr,
+    fatalIf(requestTracer() == nullptr,
             "writeRequestTrace() needs enableRequestTracing()");
-    reqTracer_->writeTrace({&device_.chip().tracer()}, path);
+    requestTracer()->writeTrace(chipTracers(), path);
 }
 
 void
 Server::writePrometheus(std::ostream &os)
 {
     obs::writePrometheusText(device_.chip().stats(), os, "dtusim");
-    if (!served_)
+    if (!served())
         return;
-    const serve::ServingReport &r = last_;
-    servingGauge(os, "dtusim_serve_submitted",
-                 "requests the last serve submitted",
-                 static_cast<double>(r.submitted));
-    servingGauge(os, "dtusim_serve_requests",
-                 "requests the last serve completed",
-                 static_cast<double>(r.requests));
-    servingGauge(os, "dtusim_serve_achieved_qps",
-                 "sustained throughput", r.achievedQps);
-    servingGauge(os, "dtusim_serve_goodput_qps",
-                 "in-deadline throughput", r.goodputQps);
-    servingGauge(os, "dtusim_serve_latency_p50_ms", "median latency",
-                 r.p50Ms);
-    servingGauge(os, "dtusim_serve_latency_p99_ms", "tail latency",
-                 r.p99Ms);
-    servingGauge(os, "dtusim_serve_availability",
-                 "completed / submitted", r.availability);
-    writeGenerationGauges(os, "dtusim_serve", r);
-    if (energyMon_)
-        energyMon_->writePrometheus(os);
+    writeServingGauges(os, "dtusim_serve", last_);
+    if (energyMonitor())
+        energyMonitor()->writePrometheus(os);
 }
 
 FleetServer::FleetServer(serve::FleetConfig config,
                          const DtuConfig &chip)
-    : config_(std::move(config))
 {
-    fatalIf(config_.devices == 0, "a fleet needs at least one device");
     std::vector<serve::Fleet::Member> members;
-    for (unsigned i = 0; i < config_.devices; ++i) {
+    for (unsigned i = 0; i < config.devices; ++i) {
         devices_.push_back(std::make_unique<Device>(chip));
         members.push_back({&devices_.back()->chip(),
                            &devices_.back()->resources()});
     }
-    fleet_ = std::make_unique<serve::Fleet>(std::move(members),
-                                            config_);
-}
-
-std::uint64_t
-FleetServer::submit(const serve::RequestSpec &spec)
-{
-    pending_.push_back(serve::makeRequest(spec, nextId_++));
-    return pending_.back().id;
-}
-
-std::uint64_t
-FleetServer::submit(const std::string &model, Tick arrival,
-                    Tick deadline)
-{
-    return submit(serve::RequestSpec{model, {}, arrival, deadline, {}});
-}
-
-void
-FleetServer::submit(const std::vector<serve::Request> &trace)
-{
-    pending_.reserve(pending_.size() + trace.size());
-    for (serve::Request r : trace) {
-        r.id = nextId_++;
-        pending_.push_back(std::move(r));
-    }
+    openFleet(std::move(members), std::move(config));
 }
 
 const serve::FleetReport &
 FleetServer::serveFleet()
 {
-    // (Re)hook every installed fault injector into the recorder here
-    // rather than at enableFlightRecorder() time, so installFaults()
-    // may come in either order.
-    if (flightRec_) {
-        for (unsigned i = 0; i < size(); ++i) {
-            FaultInjector *inj = devices_[i]->faults();
-            if (!inj)
-                continue;
-            obs::FlightRecorder *rec = flightRec_.get();
-            inj->onFault([rec, i](const InjectedFault &f) {
-                rec->trigger("fault:" +
-                                 std::string(faultKindName(f.kind)) +
-                                 " dev" + std::to_string(i),
-                             f.at);
-            });
-        }
-    }
-    last_ = fleet_->serve(std::move(pending_));
-    pending_.clear();
-    served_ = true;
+    last_ = drain();
     return last_;
-}
-
-obs::SloMonitor &
-FleetServer::enableSloMonitor(obs::SloConfig config)
-{
-    fatalIf(sloMon_ != nullptr, "fleet already has an SLO monitor");
-    sloMon_ = std::make_unique<obs::SloMonitor>(config);
-    fleet_->setSloMonitor(sloMon_.get());
-    wireFlightAlerts();
-    return *sloMon_;
-}
-
-obs::RequestTracer &
-FleetServer::enableRequestTracing(obs::RequestTraceConfig config)
-{
-    fatalIf(reqTracer_ != nullptr,
-            "fleet already has a request tracer");
-    reqTracer_ = std::make_unique<obs::RequestTracer>(config);
-    fleet_->setRequestTracer(reqTracer_.get());
-    if (flightRec_)
-        reqTracer_->setFlightRecorder(flightRec_.get());
-    return *reqTracer_;
-}
-
-obs::EnergyMonitor &
-FleetServer::enableEnergyMonitor(obs::EnergyMonitorConfig config)
-{
-    fatalIf(energyMon_ != nullptr,
-            "fleet already has an energy monitor");
-    energyMon_ = std::make_unique<obs::EnergyMonitor>(config);
-    for (unsigned i = 0; i < size(); ++i)
-        energyMon_->attach(i, devices_[i]->chip());
-    fleet_->setEnergyMonitor(energyMon_.get());
-    if (flightRec_)
-        energyMon_->setFlightRecorder(flightRec_.get());
-    return *energyMon_;
-}
-
-void
-FleetServer::writeEnergyReport(const std::string &path)
-{
-    fatalIf(energyMon_ == nullptr,
-            "writeEnergyReport() needs enableEnergyMonitor()");
-    std::ofstream file(path);
-    fatalIf(!file, "cannot open energy report '", path, "'");
-    energyMon_->writeJson(file);
-    fatalIf(!file.good(), "error writing energy report '", path, "'");
-}
-
-obs::FlightRecorder &
-FleetServer::enableFlightRecorder(obs::FlightRecorderConfig config)
-{
-    fatalIf(flightRec_ != nullptr,
-            "fleet already has a flight recorder");
-    flightRec_ = std::make_unique<obs::FlightRecorder>(config);
-    if (reqTracer_)
-        reqTracer_->setFlightRecorder(flightRec_.get());
-    if (energyMon_)
-        energyMon_->setFlightRecorder(flightRec_.get());
-    wireFlightAlerts();
-    return *flightRec_;
-}
-
-void
-FleetServer::wireFlightAlerts()
-{
-    // The ISSUE's incident sources are SLO *burn-rate* alerts and
-    // injected faults; p99 alerts still land in SloMonitor::alerts().
-    if (!sloMon_ || !flightRec_ || flightAlertsWired_)
-        return;
-    flightAlertsWired_ = true;
-    obs::FlightRecorder *rec = flightRec_.get();
-    sloMon_->addAlertListener([rec](const obs::SloAlert &alert) {
-        if (alert.kind == "slo_burn_rate")
-            rec->trigger("slo:" + alert.kind, alert.at);
-    });
 }
 
 void
 FleetServer::exportFleetTrace(std::ostream &os)
 {
-    fatalIf(reqTracer_ == nullptr,
+    fatalIf(requestTracer() == nullptr,
             "exportFleetTrace() needs enableRequestTracing()");
-    std::vector<const Tracer *> chips;
-    for (unsigned i = 0; i < size(); ++i)
-        chips.push_back(&devices_[i]->chip().tracer());
-    reqTracer_->exportTrace(chips, os);
+    requestTracer()->exportTrace(chipTracers(), os);
 }
 
 void
 FleetServer::writeFleetTrace(const std::string &path)
 {
-    fatalIf(reqTracer_ == nullptr,
+    fatalIf(requestTracer() == nullptr,
             "writeFleetTrace() needs enableRequestTracing()");
-    std::vector<const Tracer *> chips;
-    for (unsigned i = 0; i < size(); ++i)
-        chips.push_back(&devices_[i]->chip().tracer());
-    reqTracer_->writeTrace(chips, path);
+    requestTracer()->writeTrace(chipTracers(), path);
 }
 
 void
@@ -331,31 +276,13 @@ FleetServer::writePrometheus(std::ostream &os)
         obs::writePrometheusText(devices_[i]->chip().stats(), os,
                                  "dtusim_dev" + std::to_string(i));
     }
-    if (!served_)
+    if (!served())
         return;
 
     const serve::FleetReport &r = last_;
     servingGauge(os, "dtusim_fleet_devices", "devices in the fleet",
-               static_cast<double>(r.devices));
-    servingGauge(os, "dtusim_fleet_submitted",
-               "requests the last serve submitted",
-               static_cast<double>(r.fleet.submitted));
-    servingGauge(os, "dtusim_fleet_requests",
-               "requests the last serve completed",
-               static_cast<double>(r.fleet.requests));
-    servingGauge(os, "dtusim_fleet_achieved_qps",
-               "fleet-wide sustained throughput",
-               r.fleet.achievedQps);
-    servingGauge(os, "dtusim_fleet_goodput_qps",
-               "fleet-wide in-deadline throughput",
-               r.fleet.goodputQps);
-    servingGauge(os, "dtusim_fleet_latency_p50_ms",
-               "fleet-wide median latency", r.fleet.p50Ms);
-    servingGauge(os, "dtusim_fleet_latency_p99_ms",
-               "fleet-wide tail latency", r.fleet.p99Ms);
-    servingGauge(os, "dtusim_fleet_availability",
-               "completed / submitted", r.fleet.availability);
-    writeGenerationGauges(os, "dtusim_fleet", r.fleet);
+                 static_cast<double>(r.devices));
+    writeServingGauges(os, "dtusim_fleet", r.fleet);
 
     const struct
     {
@@ -403,7 +330,7 @@ FleetServer::writePrometheus(std::ostream &os)
 
     // Interconnect traffic (dtusim_fabric_*) when the fleet fabric
     // is enabled: totals plus one labeled sample per link.
-    if (const fabric::Fabric *fab = fleet_->fabricPtr()) {
+    if (const fabric::Fabric *fab = fleet().fabricPtr()) {
         const fabric::FabricTotals t = fab->totals();
         servingGauge(os, "dtusim_fabric_collectives_total",
                      "all-reduce collectives the fabric carried",
@@ -459,12 +386,12 @@ FleetServer::writePrometheus(std::ostream &os)
 
     // The periodic fleet time-series (dtusim_fleet_queue_depth{...}
     // and friends) when request tracing sampled it.
-    if (reqTracer_ && reqTracer_->metrics().latest())
-        reqTracer_->metrics().writePrometheus(os);
+    if (requestTracer() && requestTracer()->metrics().latest())
+        requestTracer()->metrics().writePrometheus(os);
 
     // Power & energy telemetry (dtusim_power_*, dtusim_energy_*).
-    if (energyMon_)
-        energyMon_->writePrometheus(os);
+    if (energyMonitor())
+        energyMonitor()->writePrometheus(os);
 }
 
 } // namespace dtu

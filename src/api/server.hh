@@ -2,11 +2,12 @@
  * @file
  * The inference-server facades — the top of the redesigned host API.
  *
- * Both facades implement the one generation-aware ServingFrontend
- * interface: clients describe a request with a serve::RequestSpec
- * (model, tenant, arrival, deadline, and optional GenerationParams —
+ * Both facades derive from the one generation-aware ServingFrontend:
+ * clients describe a request with a serve::RequestSpec (model,
+ * tenant, arrival, deadline, and optional GenerationParams —
  * maxNewTokens == 0 is the classic one-shot case) and submit it the
  * same way whether the backend is a single Device or a routed fleet.
+ * Either way one serve::Fleet drives the devices.
  *
  *   Device device;
  *   Server server(device, {.batching = {.maxBatch = 8,
@@ -38,7 +39,6 @@
 #include "obs/request_tracer.hh"
 #include "obs/slo_monitor.hh"
 #include "serve/fleet.hh"
-#include "serve/scheduler.hh"
 
 namespace dtu
 {
@@ -46,31 +46,34 @@ namespace dtu
 /**
  * The unified serving frontend: everything a client does to an
  * inference service, independent of whether one Device or a routed
- * fleet backs it. Both facades (Server, FleetServer) implement it,
- * so load generators, benches, and tests drive either through the
- * same handle — and a size-1 fleet is golden-tested to reproduce the
- * single-device Server bit-for-bit through this interface.
+ * fleet backs it. Both facades (Server, FleetServer) derive from it
+ * and share one implementation of submission, the observers, and the
+ * energy report over one serve::Fleet and its chips: a Server is a
+ * one-device fleet. Load generators, benches, and tests drive either
+ * through the same handle.
  */
 class ServingFrontend
 {
   public:
     virtual ~ServingFrontend() = default;
+    ServingFrontend(const ServingFrontend &) = delete;
+    ServingFrontend &operator=(const ServingFrontend &) = delete;
 
     /** Submit one request described by @p spec; returns its id. */
-    virtual std::uint64_t submit(const serve::RequestSpec &spec) = 0;
+    std::uint64_t submit(const serve::RequestSpec &spec);
 
     /**
      * Submit a whole arrival trace (ids are reassigned so the
      * combined submission stream stays uniquely identified).
      */
-    virtual void submit(const std::vector<serve::Request> &trace) = 0;
+    void submit(const std::vector<serve::Request> &trace);
 
     /** Requests submitted and not yet served. */
-    virtual std::size_t pending() const = 0;
+    std::size_t pending() const { return pending_.size(); }
 
     /**
-     * Drain everything submitted so far and return the aggregated
-     * serving report (the fleet facade aggregates across devices).
+     * Drain everything submitted so far and return the serving
+     * report (the fleet facade aggregates across devices).
      * Subsequent submits start a fresh trace.
      *
      * To keep memory bounded, serving frees each chip's bandwidth
@@ -82,123 +85,151 @@ class ServingFrontend
     virtual const serve::ServingReport &serve() = 0;
 
     /**
-     * Attach a live SLO monitor to the serving pipeline: tumbling
-     * windows of p50/p95/p99, goodput, and SLO burn rate, with
-     * threshold alert callbacks firing mid-serve at the simulated
-     * time of the crossing (see obs/slo_monitor.hh). Enabling twice
-     * is a configuration error; without it serving is bit-for-bit
+     * Attach a live SLO monitor: completions and drops from every
+     * device feed it in global event order, in tumbling windows of
+     * p50/p95/p99, goodput, and SLO burn rate, with threshold alert
+     * callbacks firing mid-serve at the simulated time of the
+     * crossing (see obs/slo_monitor.hh). Enabling twice is a
+     * configuration error; without it serving is bit-for-bit
      * unchanged.
      */
-    virtual obs::SloMonitor &
-    enableSloMonitor(obs::SloConfig config = {}) = 0;
+    obs::SloMonitor &enableSloMonitor(obs::SloConfig config = {});
 
     /** The attached monitor, or nullptr. */
-    virtual obs::SloMonitor *sloMonitor() = 0;
+    obs::SloMonitor *sloMonitor() { return sloMon_.get(); }
 
     /**
      * Attach a request-lifecycle tracer (obs/request_tracer.hh):
-     * sampled requests become causally-linked queue/execute/lifecycle
-     * spans flow-linked to the chip's operator timeline, and the
-     * scheduler samples the periodic metric time-series. Enabling
-     * twice is a configuration error; without it serving is
+     * router choices, sampled requests as causally-linked
+     * queue/execute/lifecycle spans flow-linked to each chip's
+     * operator timeline, and the periodic metric time-series.
+     * Enabling twice is a configuration error; without it serving is
      * bit-for-bit unchanged.
      */
-    virtual obs::RequestTracer &
-    enableRequestTracing(obs::RequestTraceConfig config = {}) = 0;
+    obs::RequestTracer &
+    enableRequestTracing(obs::RequestTraceConfig config = {});
 
     /** The attached tracer, or nullptr. */
-    virtual obs::RequestTracer *requestTracer() = 0;
+    obs::RequestTracer *requestTracer() { return reqTracer_.get(); }
 
     /**
-     * Attach an energy monitor (obs/energy_monitor.hh): serving
-     * reports gain per-component energy attribution and J/token,
-     * metric samples carry power telemetry, every chip records its
-     * CPME/LPME decision audit trail, and writePrometheus() exports
-     * the dtusim_power_* / dtusim_energy_* families. Enabling twice
-     * is a configuration error; without it serving is bit-for-bit
+     * Attach an energy monitor (obs/energy_monitor.hh): every chip is
+     * watched under its device index (each gets its PowerAuditTrail
+     * installed), serving reports gain per-component energy
+     * attribution and J/token, metric samples carry power telemetry,
+     * the flight recorder (either enable order) receives the CPME/LPME
+     * decision stream, and writePrometheus() exports the
+     * dtusim_power_* / dtusim_energy_* families. Enabling twice is a
+     * configuration error; without it serving is bit-for-bit
      * unchanged.
      */
-    virtual obs::EnergyMonitor &
-    enableEnergyMonitor(obs::EnergyMonitorConfig config = {}) = 0;
+    obs::EnergyMonitor &
+    enableEnergyMonitor(obs::EnergyMonitorConfig config = {});
 
     /** The attached energy monitor, or nullptr. */
-    virtual obs::EnergyMonitor *energyMonitor() = 0;
+    obs::EnergyMonitor *energyMonitor() { return energyMon_.get(); }
 
     /**
      * Write the EnergyReport JSON artifact of the most recent
      * serve() to @p path (requires enableEnergyMonitor()).
      */
-    virtual void writeEnergyReport(const std::string &path) = 0;
+    void writeEnergyReport(const std::string &path);
+
+    /**
+     * Attach the SLO flight recorder: a bounded ring of recent
+     * sampled request lifecycles and metric snapshots (fed by the
+     * request tracer) that dumps a retrospective JSON incident report
+     * the first time an SloMonitor burn-rate alert fires or an
+     * installed fault injector reports a fault. Works with either
+     * enable order relative to enableSloMonitor()/
+     * enableRequestTracing(); fault injectors are (re)hooked at
+     * serve() time so installFaults() can come later. Enabling twice
+     * is a configuration error.
+     */
+    obs::FlightRecorder &
+    enableFlightRecorder(obs::FlightRecorderConfig config = {});
+
+    /** The attached recorder, or nullptr. */
+    obs::FlightRecorder *flightRecorder() { return flightRec_.get(); }
 
     /**
      * Export chip stats plus serving gauges from the most recent
      * serve() in Prometheus text exposition format.
      */
     virtual void writePrometheus(std::ostream &os) = 0;
+
+    /** The routing/serving coordinator. */
+    serve::Fleet &fleet() { return *fleet_; }
+    const serve::Fleet &fleet() const { return *fleet_; }
+
+  protected:
+    ServingFrontend() = default;
+
+    /**
+     * Front @p members (borrowed chips, one per device) with the
+     * serving fleet. The derived facade owns the devices, so it calls
+     * this once they exist.
+     */
+    void openFleet(std::vector<serve::Fleet::Member> members,
+                   serve::FleetConfig config);
+
+    /** Drain the pending submissions through the fleet. */
+    serve::FleetReport drain();
+
+    /** True once serve() ran. */
+    bool served() const { return served_; }
+
+    /** Every device's chip timeline, device order (trace export). */
+    std::vector<const Tracer *> chipTracers() const;
+
+    /**
+     * The serving gauges of @p report under @p prefix: submitted,
+     * completed, throughput, goodput, p50/p99 latency, availability,
+     * and — when the run generated — tokens/s, TTFT/ITL tails, and
+     * KV-cache occupancy.
+     */
+    static void writeServingGauges(std::ostream &os,
+                                   const std::string &prefix,
+                                   const serve::ServingReport &report);
+
+  private:
+    /** Hook the SLO monitor's alert stream into the recorder once. */
+    void wireFlightAlerts();
+
+    std::vector<Dtu *> chips_;
+    std::unique_ptr<serve::Fleet> fleet_;
+    std::vector<serve::Request> pending_;
+    std::uint64_t nextId_ = 1;
+    bool served_ = false;
+    std::unique_ptr<obs::SloMonitor> sloMon_;
+    std::unique_ptr<obs::RequestTracer> reqTracer_;
+    std::unique_ptr<obs::EnergyMonitor> energyMon_;
+    std::unique_ptr<obs::FlightRecorder> flightRec_;
+    bool flightAlertsWired_ = false;
 };
 
-/** Request-level serving on top of a Device. */
+/**
+ * Request-level serving on top of a caller-owned Device: a one-device
+ * fleet over the device's chip and resource manager.
+ */
 class Server : public ServingFrontend
 {
   public:
     explicit Server(Device &device, serve::ServingConfig config = {});
 
-    /** Submit one request described by @p spec; returns its id. */
-    std::uint64_t submit(const serve::RequestSpec &spec) override;
-
     /**
-     * @deprecated Positional one-shot submit, kept for source
-     * compatibility; use submit(RequestSpec) instead.
-     */
-    std::uint64_t submit(const std::string &model, Tick arrival,
-                         Tick deadline = 0);
-
-    /**
-     * Submit a whole arrival trace (ids are reassigned so the
-     * combined submission stream stays uniquely identified).
-     */
-    void submit(const std::vector<serve::Request> &trace) override;
-
-    /** Requests submitted and not yet served. */
-    std::size_t pending() const override { return pending_.size(); }
-
-    /**
-     * Drain everything submitted so far and return the aggregated
-     * report (also retained; see lastReport()). Subsequent submits
-     * start a fresh trace.
+     * Drain everything submitted so far and return the device's
+     * report (also retained; see lastReport()).
      */
     const serve::ServingReport &serve() override;
 
     /** Report of the most recent serve(). */
     const serve::ServingReport &lastReport() const { return last_; }
 
-    const serve::ServingConfig &config() const { return config_; }
-
-    obs::SloMonitor &
-    enableSloMonitor(obs::SloConfig config = {}) override;
-
-    /** The attached monitor, or nullptr. */
-    obs::SloMonitor *sloMonitor() override { return sloMon_.get(); }
-
-    obs::RequestTracer &
-    enableRequestTracing(obs::RequestTraceConfig config = {}) override;
-
-    /** The attached tracer, or nullptr. */
-    obs::RequestTracer *requestTracer() override
+    const serve::ServingConfig &config() const
     {
-        return reqTracer_.get();
+        return fleet().config().serving;
     }
-
-    obs::EnergyMonitor &
-    enableEnergyMonitor(obs::EnergyMonitorConfig config = {}) override;
-
-    /** The attached energy monitor, or nullptr. */
-    obs::EnergyMonitor *energyMonitor() override
-    {
-        return energyMon_.get();
-    }
-
-    void writeEnergyReport(const std::string &path) override;
 
     /**
      * Write the merged request + chip Chrome trace (requires
@@ -207,23 +238,14 @@ class Server : public ServingFrontend
     void writeRequestTrace(const std::string &path);
 
     /**
-     * Export the device's chip registry plus serving gauges (latency,
-     * goodput, and — when the run generated — tokens/s, TTFT/ITL
-     * tails, KV-cache occupancy) from the most recent serve().
+     * Export the device's chip registry under "dtusim", then the
+     * dtusim_serve_* serving gauges of the most recent serve().
      */
     void writePrometheus(std::ostream &os) override;
 
   private:
     Device &device_;
-    serve::ServingConfig config_;
-    serve::Scheduler scheduler_;
-    std::vector<serve::Request> pending_;
-    std::uint64_t nextId_ = 1;
     serve::ServingReport last_;
-    bool served_ = false;
-    std::unique_ptr<obs::SloMonitor> sloMon_;
-    std::unique_ptr<obs::RequestTracer> reqTracer_;
-    std::unique_ptr<obs::EnergyMonitor> energyMon_;
 };
 
 /**
@@ -236,9 +258,9 @@ class Server : public ServingFrontend
  *                          serve::RoutingPolicy::LeastOutstanding,
  *                      .serving = {.batching = {.maxBatch = 8}}});
  *   fleet.submit(serve::poissonTrace("resnet50", 2000, 512, seed));
- *   serve::FleetReport report = fleet.serve();
+ *   serve::FleetReport report = fleet.serveFleet();
  *
- * A size-1 fleet reproduces Server::serve() bit-for-bit.
+ * A size-1 FleetServer is a Server over a device it owns.
  */
 class FleetServer : public ServingFrontend
 {
@@ -246,23 +268,6 @@ class FleetServer : public ServingFrontend
     /** Open @p config.devices devices of @p chip and front them. */
     explicit FleetServer(serve::FleetConfig config = {},
                          const DtuConfig &chip = dtu2Config());
-
-    /** Submit one request described by @p spec (routed at serve()
-     *  time); returns its id. */
-    std::uint64_t submit(const serve::RequestSpec &spec) override;
-
-    /**
-     * @deprecated Positional one-shot submit, kept for source
-     * compatibility; use submit(RequestSpec) instead.
-     */
-    std::uint64_t submit(const std::string &model, Tick arrival,
-                         Tick deadline = 0);
-
-    /** Submit a whole arrival trace (ids are reassigned). */
-    void submit(const std::vector<serve::Request> &trace) override;
-
-    /** Requests submitted and not yet served. */
-    std::size_t pending() const override { return pending_.size(); }
 
     /**
      * Drain everything submitted so far across the fleet and return
@@ -288,74 +293,7 @@ class FleetServer : public ServingFrontend
     /** Device @p i (tracing, faults, perf sampling, stats). */
     Device &device(unsigned i) { return *devices_[i]; }
 
-    /** The routing/serving coordinator. */
-    serve::Fleet &fleet() { return *fleet_; }
-
-    const serve::FleetConfig &config() const { return config_; }
-
-    /**
-     * Attach one live SLO monitor fleet-wide: completions and drops
-     * from every device feed it in global event order. Enabling
-     * twice is a configuration error.
-     */
-    obs::SloMonitor &
-    enableSloMonitor(obs::SloConfig config = {}) override;
-
-    /** The attached monitor, or nullptr. */
-    obs::SloMonitor *sloMonitor() override { return sloMon_.get(); }
-
-    /**
-     * Attach a request-lifecycle tracer fleet-wide: router choices,
-     * per-device admission/batch/terminal spans, flow links into each
-     * device's chip timeline, and the periodic fleet metric
-     * time-series. Enabling twice is a configuration error; without
-     * it serving is bit-for-bit unchanged.
-     */
-    obs::RequestTracer &
-    enableRequestTracing(obs::RequestTraceConfig config = {}) override;
-
-    /** The attached tracer, or nullptr. */
-    obs::RequestTracer *requestTracer() override
-    {
-        return reqTracer_.get();
-    }
-
-    /**
-     * Attach one energy monitor fleet-wide: every chip is watched
-     * under its fleet index (each gets its PowerAuditTrail
-     * installed), the fleet loop's metric samples carry power
-     * telemetry, and the flight recorder (either enable order)
-     * receives the CPME/LPME decision stream. Enabling twice is a
-     * configuration error; without it serving is bit-for-bit
-     * unchanged.
-     */
-    obs::EnergyMonitor &
-    enableEnergyMonitor(obs::EnergyMonitorConfig config = {}) override;
-
-    /** The attached energy monitor, or nullptr. */
-    obs::EnergyMonitor *energyMonitor() override
-    {
-        return energyMon_.get();
-    }
-
-    void writeEnergyReport(const std::string &path) override;
-
-    /**
-     * Attach the SLO flight recorder: a bounded ring of recent
-     * sampled request lifecycles and metric snapshots (fed by the
-     * request tracer) that dumps a retrospective JSON incident report
-     * the first time an SloMonitor burn-rate alert fires or an
-     * installed fault injector reports a fault. Works with either
-     * enable order relative to enableSloMonitor()/
-     * enableRequestTracing(); fault injectors are (re)hooked at
-     * serve() time so installFaults() can come later. Enabling twice
-     * is a configuration error.
-     */
-    obs::FlightRecorder &
-    enableFlightRecorder(obs::FlightRecorderConfig config = {});
-
-    /** The attached recorder, or nullptr. */
-    obs::FlightRecorder *flightRecorder() { return flightRec_.get(); }
+    const serve::FleetConfig &config() const { return fleet().config(); }
 
     /**
      * Export the merged fleet Chrome trace — request lanes plus every
@@ -370,27 +308,15 @@ class FleetServer : public ServingFrontend
     /**
      * Export the whole fleet in Prometheus text exposition format:
      * every device's chip registry under a "dtusim_dev<i>" prefix,
-     * then fleet-aggregate and per-device serving gauges (labeled by
-     * device) from the most recent serve().
+     * then fleet-aggregate (dtusim_fleet_*) and per-device serving
+     * gauges (labeled by device), fabric traffic, and the metric
+     * time-series from the most recent serve().
      */
     void writePrometheus(std::ostream &os) override;
 
   private:
-    serve::FleetConfig config_;
     std::vector<std::unique_ptr<Device>> devices_;
-    std::unique_ptr<serve::Fleet> fleet_;
-    std::vector<serve::Request> pending_;
-    std::uint64_t nextId_ = 1;
     serve::FleetReport last_;
-    bool served_ = false;
-    std::unique_ptr<obs::SloMonitor> sloMon_;
-    std::unique_ptr<obs::RequestTracer> reqTracer_;
-    std::unique_ptr<obs::EnergyMonitor> energyMon_;
-    std::unique_ptr<obs::FlightRecorder> flightRec_;
-
-    /** Hook the SLO monitor's alert stream into the recorder once. */
-    void wireFlightAlerts();
-    bool flightAlertsWired_ = false;
 };
 
 } // namespace dtu

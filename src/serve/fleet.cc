@@ -1,6 +1,7 @@
 #include "serve/fleet.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "obs/energy_monitor.hh"
@@ -143,6 +144,11 @@ Fleet::Fleet(std::vector<Member> members, FleetConfig config)
         fatalIf(!m.dtu || !m.manager,
                 "fleet member needs a chip and a resource manager");
     }
+    fatalIf(!std::isfinite(config_.weightLoadGbps) ||
+                config_.weightLoadGbps < 0.0,
+            "fleet weight-load bandwidth must be a finite, non-negative "
+            "GB/s (0 disables the load model), not ",
+            config_.weightLoadGbps);
     validatePlacement(config_.placement, config_.devices);
     if (config_.fabric.enabled)
         config_.fabric.validate();
@@ -163,10 +169,8 @@ Fleet::Fleet(std::vector<Member> members, FleetConfig config)
     for (std::size_t g = 0; g < groups; ++g) {
         const Member &m = members[g * groupSize_];
         devices_.push_back(std::make_unique<Scheduler>(
-            *m.dtu, *m.manager, config_.serving));
-        if (config_.sharePlans)
-            devices_.back()->sharePlanCache(&sharedPlans_,
-                                            &planMutex_);
+            *m.dtu, *m.manager, config_.serving, sharedPlans_,
+            planMutex_));
         view_.push_back(devices_.back().get());
     }
     rebuildFabric();

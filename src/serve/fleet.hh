@@ -4,13 +4,13 @@
  * request-level serving runtime.
  *
  * A Fleet fronts N independently clocked Dtu instances (each with
- * its own ResourceManager) with one discrete-event serving loop. A
- * pluggable Router assigns every arrival to a device; each device
- * runs its own steppable Scheduler core (per-device queues, dynamic
- * batching, degradation), while the fleet driver owns the global
- * timeline and min-reduces the devices' next-event times — so
- * cross-device ordering is deterministic and a size-1 fleet
- * reproduces the single-device Scheduler::serve() path bit-for-bit.
+ * its own ResourceManager) with one discrete-event serving loop — the
+ * only one: single-device serving (api::Server) is a one-member
+ * fleet. A pluggable Router assigns every arrival to a device; each
+ * device runs its own steppable Scheduler core (per-device queues,
+ * dynamic batching, degradation), while the fleet loop owns the
+ * global timeline and min-reduces the devices' next-event times, so
+ * cross-device ordering is deterministic.
  *
  * With FleetConfig::threads > 1 the driver becomes a conservative
  * time-window scheduler: devices touch each other only through the
@@ -109,20 +109,13 @@ struct FleetConfig
     /** Per-device scheduler configuration (identical across devices). */
     ServingConfig serving;
     /**
-     * PCIe bandwidth for first-placement weight loads, in GB/s.
-     * 0 disables the cost model: placements are tracked (affinity
-     * routing still works) but weights are resident immediately —
-     * the default, which keeps a size-1 fleet bit-for-bit identical
-     * to the single-device path.
+     * PCIe bandwidth for first-placement weight loads, in GB/s: finite
+     * and non-negative (the Fleet constructor fatals otherwise). 0,
+     * the default, disables the cost model: placements are tracked
+     * (affinity routing still works) but weights are resident
+     * immediately.
      */
     double weightLoadGbps = 0.0;
-    /**
-     * Share one compiled-plan cache across the fleet's identically
-     * configured devices (plans are pure functions of the chip
-     * config). Host-side memoization only; simulated timing is
-     * unchanged.
-     */
-    bool sharePlans = true;
     /**
      * Worker threads driving the devices, clamped to the fleet size.
      * 1 (the default) is the classic serial event loop. With more,
@@ -201,7 +194,7 @@ struct FleetReport
     /**
      * Fleet-aggregate report over the merged completion/drop logs:
      * fleet-wide percentiles, summed batches/energy, mean device
-     * utilization. For a size-1 fleet this equals devices[0].report.
+     * utilization. For a size-1 fleet this equals perDevice[0].report.
      */
     ServingReport fleet;
     /** Per-device slices (one per placement group), index order. */
@@ -229,8 +222,10 @@ class Router
 
 /**
  * N steppable Scheduler cores behind one Router on one timeline.
- * The Fleet borrows the chips and managers (the api::FleetServer
- * facade owns them); members must outlive the Fleet.
+ * The Fleet borrows the chips and managers (the api facades or their
+ * callers own them); members must outlive the Fleet. Its devices
+ * share one compiled-plan cache (plans are pure functions of the chip
+ * config; host-side memoization only).
  */
 class Fleet
 {

@@ -39,8 +39,10 @@ requestSpan(Tracer &tracer, TrackId track, const std::string &model,
 } // namespace
 
 Scheduler::Scheduler(Dtu &dtu, ResourceManager &manager,
-                     ServingConfig config)
-    : dtu_(dtu), manager_(manager), config_(std::move(config))
+                     ServingConfig config, PlanCache &plans,
+                     std::mutex &plan_mutex)
+    : dtu_(dtu), manager_(manager), config_(std::move(config)),
+      plans_(plans), planMutex_(plan_mutex)
 {
     fatalIf(config_.batching.maxBatch == 0,
             "dynamic batch size must be at least 1");
@@ -80,36 +82,23 @@ const ExecutionPlan &
 Scheduler::cachedPlan(const std::pair<std::string, unsigned> &key,
                       BuildGraph &&build)
 {
-    PlanCache &cache = plans();
-    if (!planMutex_) {
-        auto it = cache.find(key);
-        if (it == cache.end())
-            it = cache
-                     .emplace(key, compile(build(), dtu_.config(),
-                                           config_.dtype,
-                                           config_.groupsPerBatch, {},
-                                           static_cast<int>(key.second)))
-                     .first;
-        return it->second;
-    }
-    // Shared cache under parallel fleet workers: look up under the
-    // lock, compile outside it (plans are pure functions of the graph
-    // and chip config, so a concurrent racer just builds a duplicate
-    // and the try_emplace loser is discarded). std::map entries are
-    // reference-stable and never erased, so the returned reference is
-    // safe to use unlocked.
+    // Look up under the lock, compile outside it (plans are pure
+    // functions of the graph and chip config, so a concurrent racer
+    // just builds a duplicate and the try_emplace loser is
+    // discarded). std::map entries are reference-stable and never
+    // erased, so the returned reference is safe to use unlocked.
     {
-        std::lock_guard<std::mutex> lock(*planMutex_);
-        auto it = cache.find(key);
-        if (it != cache.end())
+        std::lock_guard<std::mutex> lock(planMutex_);
+        auto it = plans_.find(key);
+        if (it != plans_.end())
             return it->second;
     }
     ExecutionPlan compiled =
         compile(build(), dtu_.config(), config_.dtype,
                 config_.groupsPerBatch, {},
                 static_cast<int>(key.second));
-    std::lock_guard<std::mutex> lock(*planMutex_);
-    return cache.try_emplace(key, std::move(compiled)).first->second;
+    std::lock_guard<std::mutex> lock(planMutex_);
+    return plans_.try_emplace(key, std::move(compiled)).first->second;
 }
 
 const ExecutionPlan &
@@ -335,7 +324,7 @@ Scheduler::placeModel(const std::string &model, Tick now, double gbps)
     if (!fabric_ && gbps <= 0.0) {
         // Placement tracked (model-affinity routing keys on it) but
         // the load itself is not modeled: weights are resident
-        // immediately, exactly like the single-device path.
+        // immediately.
         weightReady_[model] = 0;
         return;
     }
@@ -361,8 +350,14 @@ Scheduler::placeModel(const std::string &model, Tick now, double gbps)
         moved = bytes * loads;
         dtu_.energy().addFabric(static_cast<double>(moved));
     } else {
+        // Saturate like the bandwidth ledger: a tiny positive rate
+        // must not overflow the tick conversion.
+        const double seconds = static_cast<double>(bytes) / (gbps * 1e9);
         const Tick load =
-            secondsToTicks(static_cast<double>(bytes) / (gbps * 1e9));
+            seconds * static_cast<double>(ticksPerSecond) >=
+                    static_cast<double>(maxTick)
+                ? maxTick
+                : secondsToTicks(seconds);
         ready = saturatingAddTicks(start, load);
     }
     loadCursor_ = ready;
@@ -1346,96 +1341,6 @@ Scheduler::finish(double offered_qps)
     }
     outcomes_.clear();
     return report;
-}
-
-ServingReport
-Scheduler::serve(std::vector<Request> trace)
-{
-    std::sort(trace.begin(), trace.end(),
-              [](const Request &a, const Request &b) {
-                  if (a.arrival != b.arrival)
-                      return a.arrival < b.arrival;
-                  return a.id < b.id;
-              });
-    const double offered = offeredQps(trace);
-
-    // How many arrivals of each model are still in the future: the
-    // batcher stops holding a partial batch once no companion can
-    // ever join it.
-    std::map<std::string, unsigned> future;
-    for (const Request &r : trace)
-        ++future[r.model];
-
-    Tick now = trace.empty() ? 0 : trace.front().arrival;
-    begin(now, &future);
-    if (energyMon_)
-        energyMon_->beginRun(now);
-
-    std::size_t next_arrival = 0;
-    auto admitUpTo = [&](Tick upto) {
-        while (next_arrival < trace.size() &&
-               trace[next_arrival].arrival <= upto) {
-            const Request &r = trace[next_arrival++];
-            --future[r.model];
-            admit(r);
-        }
-    };
-
-    admitUpTo(now);
-    settle(now);
-    // Periodic metric snapshots: pure observation points. The loop
-    // wakes early for them only while a real event is still pending,
-    // and the settle/advance steps are idempotent at non-event ticks,
-    // so sampling never changes simulated results (or termination).
-    const Tick metric_period =
-        reqTracer_ ? reqTracer_->metricPeriod()
-                   : (energyMon_ ? energyMon_->samplePeriod() : 0);
-    Tick next_sample =
-        metric_period ? (now / metric_period + 1) * metric_period
-                      : kNever;
-    while (true) {
-        // Next event: an arrival, a batch completion or decode step,
-        // a queue timeout maturing, or a degradation deadline.
-        // Events at or before `now` are already handled (or are
-        // waiting on a lease, which frees at a completion event).
-        Tick next = nextEvent(now);
-        if (next_arrival < trace.size())
-            next = std::min(next, trace[next_arrival].arrival);
-        if (next == kNever) {
-            fatalIf(queueDepth() + decodeReadyCount() != 0,
-                    "serving deadlock: ",
-                    queueDepth() + decodeReadyCount(),
-                    " waiting requests but no future event");
-            break;
-        }
-        if (next_sample < next)
-            next = next_sample;
-        now = next;
-        advanceCompletions(now);
-        admitUpTo(now);
-        settle(now);
-        if (metric_period && now >= next_sample) {
-            obs::FleetMetricSample sample;
-            sample.at = now;
-            sample.devices.push_back(metricSample(deviceId_));
-            if (energyMon_)
-                energyMon_->annotate(sample);
-            if (reqTracer_)
-                reqTracer_->recordMetrics(sample);
-            next_sample = (now / metric_period + 1) * metric_period;
-        }
-        // Close SLO windows the loop just stepped past. Events land
-        // in (prev_now, now] and windows close only through now, so
-        // every event is ingested before its window seals.
-        if (sloMon_)
-            sloMon_->advanceTo(now);
-    }
-    if (sloMon_)
-        sloMon_->finish(std::max(now, lastCompletion_));
-    if (energyMon_)
-        energyMon_->endRun(std::max(now, lastCompletion_));
-
-    return finish(offered);
 }
 
 } // namespace serve

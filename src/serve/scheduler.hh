@@ -20,11 +20,12 @@
  * seeded arrival generators. Same trace + seed => identical
  * makespan, percentiles, and deadline-miss set.
  *
- * The scheduler is *steppable*: serve() is a thin driver over a
+ * The scheduler is *steppable*: a
  * begin()/admit()/advanceCompletions()/settle()/nextEvent()/finish()
- * core, and the fleet coordinator (serve/fleet.hh) drives N of these
- * cores — one per simulated device — on a single global timeline. A
- * size-1 fleet therefore reproduces serve() bit-for-bit.
+ * core with no event loop of its own. The fleet coordinator
+ * (serve/fleet.hh) runs the one loop: it steps N of these cores — one
+ * per simulated device or placement group — on a single global
+ * timeline, and single-device serving is a one-member fleet.
  */
 
 #ifndef DTU_SERVE_SCHEDULER_HH
@@ -195,38 +196,26 @@ using PlanCache = std::map<std::pair<std::string, unsigned>, ExecutionPlan>;
 class Scheduler
 {
   public:
-    Scheduler(Dtu &dtu, ResourceManager &manager, ServingConfig config);
-
     /**
-     * Drain a finalized arrival trace (see serve/arrival.hh) to
-     * completion and aggregate the outcome. When the chip's Tracer
-     * is enabled (or config.exec.timeline is set), every request
-     * contributes an arrival-to-completion span and every batch an
-     * execution span, nested over the executor's operator spans in
-     * the same timeline.
+     * A core on @p dtu leasing from @p manager. Compiled plans are
+     * memoized in @p plans, which the fleet shares across its
+     * identically configured devices (plans are pure functions of the
+     * DtuConfig; sharing is a host-side memoization only). Lookups
+     * lock @p plan_mutex, compilation happens outside the lock (a
+     * losing racer's copy is discarded), and entries are never
+     * erased, so returned references stay valid unlocked — which is
+     * what lets fleet worker threads share the cache.
+     *
+     * When the chip's Tracer is enabled (or config.exec.timeline is
+     * set), every request contributes an arrival-to-completion span
+     * and every batch an execution span, nested over the executor's
+     * operator spans in the same timeline.
      */
-    ServingReport serve(std::vector<Request> trace);
+    Scheduler(Dtu &dtu, ResourceManager &manager, ServingConfig config,
+              PlanCache &plans, std::mutex &plan_mutex);
 
     /** Compiled-plan cache size (plans are memoized per model/batch). */
-    std::size_t cachedPlans() const { return plans().size(); }
-
-    /**
-     * Share an external compiled-plan cache (e.g. fleet-wide across
-     * identically configured devices, where compiled plans are pure
-     * functions of the DtuConfig). nullptr reverts to the private
-     * cache. Sharing is a host-side memoization only; simulated
-     * timing is unchanged. When the fleet drives its devices from
-     * worker threads it also passes @p mutex: lookups lock it,
-     * compilation happens outside the lock (plans are pure, a losing
-     * racer's copy is discarded), and entries are never erased, so
-     * returned references stay valid unlocked.
-     */
-    void
-    sharePlanCache(PlanCache *cache, std::mutex *mutex = nullptr)
-    {
-        sharedPlans_ = cache;
-        planMutex_ = cache ? mutex : nullptr;
-    }
+    std::size_t cachedPlans() const { return plans_.size(); }
 
     /** The chip this core schedules onto. */
     Dtu &chip() { return dtu_; }
@@ -242,12 +231,11 @@ class Scheduler
 
     /**
      * Attach (or detach, with nullptr) a request-lifecycle tracer as
-     * fleet device @p device (0 for a single-device Server). The
-     * scheduler reports admissions, batch executions, completions,
-     * drops, and weight loads, and force-enables the chip timeline
-     * around batches carrying a sampled request so their operator
-     * spans exist for flow linking. Without a tracer the serving
-     * path is bit-for-bit unchanged.
+     * fleet device @p device. The scheduler reports admissions, batch
+     * executions, completions, drops, and weight loads, and
+     * force-enables the chip timeline around batches carrying a
+     * sampled request so their operator spans exist for flow linking.
+     * Without a tracer the serving path is bit-for-bit unchanged.
      */
     void setRequestTracer(obs::RequestTracer *tracer, unsigned device)
     {
@@ -289,10 +277,10 @@ class Scheduler
     }
 
     //
-    // The steppable discrete-event core. serve() is a driver over
-    // these; the fleet coordinator (serve/fleet.hh) is another,
-    // interleaving N device cores on one global timeline. The
-    // protocol per event time t (strictly non-decreasing):
+    // The steppable discrete-event core. The fleet coordinator
+    // (serve/fleet.hh) drives it, interleaving N device cores on one
+    // global timeline. The protocol per event time t (strictly
+    // non-decreasing):
     //
     //   advanceCompletions(t);   // retire batches that ended <= t
     //   admit(r...);             // arrivals with r.arrival == t
@@ -316,7 +304,7 @@ class Scheduler
     /**
      * Admit one arrived request (at r.arrival). Applies admission
      * control: over-limit arrivals are dropped as Rejected at their
-     * arrival time, exactly like the single-device path.
+     * arrival time.
      */
     void admit(const Request &request);
 
@@ -397,9 +385,10 @@ class Scheduler
     // Model placement. A fleet router calls placeModel() the first
     // time it assigns a model to this device; with @p gbps > 0 the
     // first placement pays a modeled PCIe weight-load (weight bytes
-    // at gbps GB/s, serialized per device), and batches of that
-    // model cannot launch before the load finishes. The single-device
-    // serve() path never places, so it is bit-for-bit unaffected.
+    // at gbps GB/s, serialized per device, saturating at maxTick),
+    // and batches of that model cannot launch before the load
+    // finishes. With gbps == 0 and no fabric, placement is only
+    // tracked and weights are resident at once.
     //
 
     /** Mark @p model resident, paying the first-placement load. */
@@ -492,9 +481,8 @@ class Scheduler
     };
 
     /**
-     * Look up @p key in the active plan cache, compiling the graph
-     * @p build returns on a miss (thread-safe when a shared-cache
-     * mutex was provided, see sharePlanCache).
+     * Look up @p key in the plan cache, compiling the graph @p build
+     * returns on a miss (thread-safe, see the constructor).
      */
     template <typename BuildGraph>
     const ExecutionPlan &
@@ -595,13 +583,6 @@ class Scheduler
     /** Launch rule for queued prefills of @p model at @p now. */
     bool shouldLaunchGen(const std::string &model, Tick now) const;
 
-    /** The active plan cache (shared when sharePlanCache() was set). */
-    PlanCache &plans() { return sharedPlans_ ? *sharedPlans_ : plans_; }
-    const PlanCache &plans() const
-    {
-        return sharedPlans_ ? *sharedPlans_ : plans_;
-    }
-
     /** Not-yet-admitted arrivals of @p model (0 without a map). */
     unsigned futureCount(const std::string &model) const;
 
@@ -611,10 +592,9 @@ class Scheduler
     Dtu &dtu_;
     ResourceManager &manager_;
     ServingConfig config_;
-    PlanCache plans_;
-    PlanCache *sharedPlans_ = nullptr;
-    /** Guards sharedPlans_ under parallel fleet workers (may be null). */
-    std::mutex *planMutex_ = nullptr;
+    /** The fleet's shared plan cache and the mutex guarding it. */
+    PlanCache &plans_;
+    std::mutex &planMutex_;
 
     //
     // Degradation counters. The first scheduler on a chip registers

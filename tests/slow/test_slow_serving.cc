@@ -15,14 +15,15 @@
 #include <sstream>
 
 #include "serve/arrival.hh"
-#include "serve/scheduler.hh"
 #include "sim/fault.hh"
+#include "../serving_test_util.hh"
 
 namespace
 {
 
 using namespace dtu;
 using namespace dtu::serve;
+using dtu::test::serveOnChip;
 
 std::vector<Request>
 overloadTrace()
@@ -71,8 +72,7 @@ run(const std::vector<Request> &trace, bool shed)
     Dtu chip(dtu2Config());
     chip.installFaults(overloadFaults());
     ResourceManager rm(chip);
-    Scheduler scheduler(chip, rm, servingConfig(shed));
-    return scheduler.serve(trace);
+    return serveOnChip(chip, rm, servingConfig(shed), trace);
 }
 
 TEST(SlowFaultServing, SheddingBeatsNoSheddingUnderOverloadFaults)

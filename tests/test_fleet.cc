@@ -2,7 +2,7 @@
  * @file
  * Tests for multi-device fleet serving (serve/fleet.hh and the
  * api::FleetServer facade): size-1 equivalence with the
- * single-device path, routing-policy behaviour and determinism,
+ * single-device Server, routing-policy behaviour and determinism,
  * per-device vs fleet-aggregate accounting, modeled PCIe weight
  * loads, and the fleet JSON / Prometheus exports.
  */
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -110,18 +111,19 @@ expectSameReport(const ServingReport &a, const ServingReport &b)
 }
 
 //
-// Size-1 equivalence: the fleet driver over the steppable core must
-// reproduce the single-device Scheduler::serve() path bit-for-bit.
+// Size-1 equivalence: single-device serving is a one-member fleet, so
+// the Server facade over a caller-owned Device, a bare one-member
+// Fleet, and that fleet's aggregate must all agree bit-for-bit.
 //
 
 TEST(FleetTest, SizeOneFleetReproducesSingleDevicePath)
 {
     auto trace = mixedTrace(/*seed=*/11);
 
-    Dtu solo_chip(dtu2Config());
-    ResourceManager solo_rm(solo_chip);
-    Scheduler solo(solo_chip, solo_rm, fleetServingConfig());
-    ServingReport single = solo.serve(trace);
+    Device device;
+    Server server(device, fleetServingConfig());
+    server.submit(trace);
+    ServingReport single = server.serve();
 
     Dtu fleet_chip(dtu2Config());
     ResourceManager fleet_rm(fleet_chip);
@@ -479,6 +481,29 @@ TEST(FleetTest, MisconfiguredFleetIsFatal)
     FleetConfig config;
     config.devices = 2; // but only one member provided
     EXPECT_THROW(Fleet({{&chip, &rm}}, config), FatalError);
+    // A weight-load rate that is not a finite, non-negative GB/s
+    // would reach the load-time conversion as NaN or a free load.
+    for (double gbps : {std::nan(""), -1.0,
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()}) {
+        FleetConfig bad;
+        bad.weightLoadGbps = gbps;
+        EXPECT_THROW(Fleet({{&chip, &rm}}, bad), FatalError) << gbps;
+    }
+}
+
+TEST(FleetTest, TinyWeightLoadRateSaturatesTheLoadTime)
+{
+    // bytes / rate overflows the tick range; the load time saturates
+    // at maxTick (the ledger's "never") instead of wrapping.
+    Dtu chip(dtu2Config());
+    ResourceManager rm(chip);
+    FleetConfig config;
+    config.weightLoadGbps = 1e-300;
+    Fleet fleet({{&chip, &rm}}, config);
+    fleet.device(0).placeModel("conformer", /*now=*/5, 1e-300);
+    EXPECT_EQ(fleet.device(0).weightLoads(), 1u);
+    EXPECT_EQ(fleet.device(0).weightLoadTicks(), maxTick - 5);
 }
 
 //

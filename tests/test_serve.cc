@@ -13,14 +13,15 @@
 #include "compiler/lowering.hh"
 #include "models/model_zoo.hh"
 #include "serve/arrival.hh"
-#include "serve/scheduler.hh"
 #include "sim/logging.hh"
+#include "serving_test_util.hh"
 
 namespace
 {
 
 using namespace dtu;
 using namespace dtu::serve;
+using dtu::test::serveOnChip;
 
 //
 // Arrival generators.
@@ -126,10 +127,9 @@ TEST(SchedulerTest, DrainsEveryRequestExactlyOnce)
 {
     Dtu chip(dtu2Config());
     ResourceManager rm(chip);
-    Scheduler scheduler(chip, rm, testConfig(4));
     auto trace = finalizeTrace(
         {poissonTrace("conformer", 2000.0, 12, /*seed=*/3)});
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, testConfig(4), trace);
     EXPECT_EQ(report.requests, 12u);
     EXPECT_GT(report.batches, 0u);
     EXPECT_GT(report.makespan, 0u);
@@ -158,10 +158,9 @@ TEST(SchedulerTest, DynamicBatcherFormsBatches)
     // maxBatch instead of running 12 singletons.
     Dtu chip(dtu2Config());
     ResourceManager rm(chip);
-    Scheduler scheduler(chip, rm, testConfig(4));
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 1e9, 12)}); // ~simultaneous
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, testConfig(4), trace);
     EXPECT_EQ(report.requests, 12u);
     EXPECT_GT(report.meanBatchSize, 1.0);
     for (const RequestOutcome &r : report.outcomes)
@@ -175,7 +174,6 @@ TEST(SchedulerTest, MaxQueueDelayBoundsWaiting)
     Dtu chip(dtu2Config());
     ResourceManager rm(chip);
     Tick delay = secondsToTicks(1e-3);
-    Scheduler scheduler(chip, rm, testConfig(8, delay));
     std::vector<Request> trace(2);
     trace[0].id = 1;
     trace[0].model = "conformer";
@@ -183,7 +181,7 @@ TEST(SchedulerTest, MaxQueueDelayBoundsWaiting)
     trace[1].id = 2;
     trace[1].model = "conformer";
     trace[1].arrival = secondsToTicks(1.0);
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, testConfig(8, delay), trace);
     ASSERT_EQ(report.requests, 2u);
     // outcomes[] is terminal-ordered; request 1 dispatched at its
     // timeout, not at request 2's arrival.
@@ -201,11 +199,10 @@ TEST(SchedulerTest, PerModelBatchCapOverridesGlobal)
     ResourceManager rm(chip);
     ServingConfig config = testConfig(8, secondsToTicks(1e-3));
     config.batching.perModelMaxBatch["conformer"] = 2;
-    Scheduler scheduler(chip, rm, config);
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 1e9, 8),
          fixedRateTrace("resnet50", 1e9, 8)});
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, config, trace);
     EXPECT_EQ(report.requests, 16u);
     for (const RequestOutcome &r : report.outcomes) {
         if (r.request.model == "conformer") {
@@ -229,9 +226,8 @@ TEST(SchedulerTest, DeterministicAcrossRuns)
     auto run = [&trace]() {
         Dtu chip(dtu2Config());
         ResourceManager rm(chip);
-        Scheduler scheduler(chip, rm,
-                            testConfig(4, secondsToTicks(1e-3)));
-        return scheduler.serve(trace);
+        return serveOnChip(chip, rm,
+                           testConfig(4, secondsToTicks(1e-3)), trace);
     };
     ServingReport a = run();
     ServingReport b = run();
@@ -263,10 +259,9 @@ TEST(SchedulerTest, DynamicBatchingBeatsFifoUnderLoad)
     auto run = [&trace](unsigned max_batch) {
         Dtu chip(dtu2Config());
         ResourceManager rm(chip);
-        Scheduler scheduler(
-            chip, rm,
-            testConfig(max_batch, secondsToTicks(0.5e-3)));
-        return scheduler.serve(trace);
+        return serveOnChip(
+            chip, rm, testConfig(max_batch, secondsToTicks(0.5e-3)),
+            trace);
     };
     ServingReport fifo = run(1);
     ServingReport dynamic = run(8);
@@ -283,10 +278,9 @@ TEST(SchedulerTest, EmitsRequestSpansIntoTimeline)
     ResourceManager rm(chip);
     ServingConfig config = testConfig(4);
     config.exec.timeline = true;
-    Scheduler scheduler(chip, rm, config);
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 5000.0, 4)});
-    scheduler.serve(trace);
+    serveOnChip(chip, rm, config, trace);
     EXPECT_GT(chip.tracer().eventCount(), 0u);
     std::ostringstream os;
     chip.tracer().exportChromeTrace(os);
@@ -302,11 +296,10 @@ TEST(ServingReportTest, JsonCarriesSloFields)
 {
     Dtu chip(dtu2Config());
     ResourceManager rm(chip);
-    Scheduler scheduler(chip, rm, testConfig(2));
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 5000.0, 4,
                         /*deadline=*/1)}); // everything misses
-    ServingReport report = scheduler.serve(trace);
+    ServingReport report = serveOnChip(chip, rm, testConfig(2), trace);
     EXPECT_EQ(report.deadlineMisses, 4u);
     EXPECT_DOUBLE_EQ(report.missRate, 1.0);
     EXPECT_DOUBLE_EQ(report.goodputQps, 0.0);
@@ -333,8 +326,10 @@ TEST(ServerTest, ServesSubmittedTraffic)
     config.batching.maxBatch = 4;
     config.batching.maxQueueDelay = secondsToTicks(1e-3);
     Server server(device, config);
-    server.submit("conformer", /*arrival=*/0,
-                  /*deadline=*/secondsToTicks(50e-3));
+    RequestSpec spec;
+    spec.model = "conformer";
+    spec.deadline = secondsToTicks(50e-3);
+    server.submit(spec);
     server.submit(poissonTrace("conformer", 3000.0, 7, /*seed=*/5));
     EXPECT_EQ(server.pending(), 8u);
     const ServingReport &report = server.serve();
