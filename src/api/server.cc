@@ -80,7 +80,7 @@ ServingFrontend::enableSloMonitor(obs::SloConfig config)
 {
     fatalIf(sloMon_ != nullptr, "frontend already has an SLO monitor");
     sloMon_ = std::make_unique<obs::SloMonitor>(config);
-    fleet_->setSloMonitor(sloMon_.get());
+    attachObservers();
     wireFlightAlerts();
     return *sloMon_;
 }
@@ -91,7 +91,7 @@ ServingFrontend::enableRequestTracing(obs::RequestTraceConfig config)
     fatalIf(reqTracer_ != nullptr,
             "frontend already has a request tracer");
     reqTracer_ = std::make_unique<obs::RequestTracer>(config);
-    fleet_->setRequestTracer(reqTracer_.get());
+    attachObservers();
     if (flightRec_)
         reqTracer_->setFlightRecorder(flightRec_.get());
     return *reqTracer_;
@@ -103,9 +103,9 @@ ServingFrontend::enableEnergyMonitor(obs::EnergyMonitorConfig config)
     fatalIf(energyMon_ != nullptr,
             "frontend already has an energy monitor");
     energyMon_ = std::make_unique<obs::EnergyMonitor>(config);
-    for (unsigned i = 0; i < chips_.size(); ++i)
-        energyMon_->attach(i, *chips_[i]);
-    fleet_->setEnergyMonitor(energyMon_.get());
+    for (unsigned g = 0; g < fleet_->size(); ++g)
+        energyMon_->attach(g, fleet_->device(g).chip());
+    attachObservers();
     if (flightRec_)
         energyMon_->setFlightRecorder(flightRec_.get());
     return *energyMon_;
@@ -134,6 +134,22 @@ ServingFrontend::enableFlightRecorder(obs::FlightRecorderConfig config)
         energyMon_->setFlightRecorder(flightRec_.get());
     wireFlightAlerts();
     return *flightRec_;
+}
+
+void
+ServingFrontend::attachObservers()
+{
+    // One fixed order, whatever order the enables came in: the energy
+    // monitor annotates a metric sample before the tracer records it,
+    // and the tracer's period, stated last, wins.
+    std::vector<obs::ServingObserver *> observers;
+    if (sloMon_)
+        observers.push_back(sloMon_.get());
+    if (energyMon_)
+        observers.push_back(energyMon_.get());
+    if (reqTracer_)
+        observers.push_back(reqTracer_.get());
+    fleet_->setObservers(std::move(observers));
 }
 
 void

@@ -113,12 +113,14 @@ class ServingFrontend
     obs::RequestTracer *requestTracer() { return reqTracer_.get(); }
 
     /**
-     * Attach an energy monitor (obs/energy_monitor.hh): every chip is
-     * watched under its device index (each gets its PowerAuditTrail
-     * installed), serving reports gain per-component energy
-     * attribution and J/token, metric samples carry power telemetry,
-     * the flight recorder (either enable order) receives the CPME/LPME
-     * decision stream, and writePrometheus() exports the
+     * Attach an energy monitor (obs/energy_monitor.hh): each
+     * placement group's leader chip is watched under the group index,
+     * the numbering perDevice and the metric samples use (each gets
+     * its PowerAuditTrail installed), serving reports gain
+     * per-component energy attribution and J/token, metric samples
+     * carry power telemetry, the flight recorder (either enable
+     * order) receives the CPME/LPME decision stream, and
+     * writePrometheus() exports the
      * dtusim_power_* / dtusim_energy_* families. Enabling twice is a
      * configuration error; without it serving is bit-for-bit
      * unchanged.
@@ -193,6 +195,9 @@ class ServingFrontend
                                    const serve::ServingReport &report);
 
   private:
+    /** Hand the fleet the enabled observers in their fixed order. */
+    void attachObservers();
+
     /** Hook the SLO monitor's alert stream into the recorder once. */
     void wireFlightAlerts();
 

@@ -6,6 +6,7 @@
 #include "obs/flight_recorder.hh"
 #include "obs/prometheus.hh"
 #include "runtime/executor.hh"
+#include "serve/fleet.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "soc/dtu.hh"
@@ -36,61 +37,45 @@ EnergyMonitor::EnergyMonitor(EnergyMonitorConfig config)
             "energy monitor audit capacity must be positive");
 }
 
-EnergyMonitor::DeviceState *
-EnergyMonitor::find(unsigned device)
-{
-    for (DeviceState &d : devices_) {
-        if (d.device == device)
-            return &d;
-    }
-    return nullptr;
-}
-
 const EnergyMonitor::DeviceState *
 EnergyMonitor::find(unsigned device) const
 {
-    for (const DeviceState &d : devices_) {
-        if (d.device == device)
-            return &d;
-    }
-    return nullptr;
+    return device < devices_.size() ? &devices_[device] : nullptr;
 }
 
 void
 EnergyMonitor::attach(unsigned device, Dtu &dtu)
 {
-    fatalIf(find(device) != nullptr,
-            "energy monitor already watches device ", device);
+    fatalIf(device != devices_.size(),
+            "energy monitor devices attach in index order: expected ",
+            devices_.size(), ", not ", device);
     DeviceState state;
     state.device = device;
     state.dtu = &dtu;
     state.audit = dtu.powerAudit()
                       ? dtu.powerAudit()
                       : &dtu.installPowerAudit(config_.auditCapacity);
-    state.joulesBase = dtu.energy().joules();
-    state.breakdownBase = dtu.energy().breakdown();
-    state.windowsBase = dtu.cpme().windowsServiced();
-    state.throttledBase = dtu.cpme().throttledWindows();
-    state.lastJoules = state.joulesBase;
-    state.lastWindows = state.windowsBase;
-    state.lastThrottled = state.throttledBase;
+    rebase(state, 0);
     devices_.push_back(state);
 }
 
 void
-EnergyMonitor::beginRun(Tick at)
+EnergyMonitor::rebase(DeviceState &dev, Tick at)
+{
+    Dtu &chip = *dev.dtu;
+    dev.runStart = dev.lastAt = at;
+    dev.joulesBase = dev.lastJoules = chip.energy().joules();
+    dev.breakdownBase = chip.energy().breakdown();
+    dev.windowsBase = dev.lastWindows = chip.cpme().windowsServiced();
+    dev.throttledBase = dev.lastThrottled = chip.cpme().throttledWindows();
+}
+
+void
+EnergyMonitor::onRunBegin(Tick at)
 {
     series_.clear();
     for (DeviceState &dev : devices_) {
-        dev.runStart = at;
-        dev.joulesBase = dev.dtu->energy().joules();
-        dev.breakdownBase = dev.dtu->energy().breakdown();
-        dev.windowsBase = dev.dtu->cpme().windowsServiced();
-        dev.throttledBase = dev.dtu->cpme().throttledWindows();
-        dev.lastAt = at;
-        dev.lastJoules = dev.joulesBase;
-        dev.lastWindows = dev.windowsBase;
-        dev.lastThrottled = dev.throttledBase;
+        rebase(dev, at);
         dev.audit->clear();
         dev.forwarded = 0;
     }
@@ -116,12 +101,12 @@ EnergyMonitor::drainAudit(DeviceState &dev)
 }
 
 void
-EnergyMonitor::annotate(FleetMetricSample &sample)
+EnergyMonitor::onSample(FleetMetricSample &sample)
 {
     for (DeviceMetricSample &d : sample.devices) {
-        DeviceState *dev = find(d.device);
-        if (!dev)
+        if (d.device >= devices_.size())
             continue;
+        DeviceState *dev = &devices_[d.device];
         const double joules = dev->dtu->energy().joules();
         const std::uint64_t windows =
             dev->dtu->cpme().windowsServiced();
@@ -146,7 +131,7 @@ EnergyMonitor::annotate(FleetMetricSample &sample)
 }
 
 void
-EnergyMonitor::endRun(Tick at)
+EnergyMonitor::onRunEnd(Tick at)
 {
     for (DeviceState &dev : devices_) {
         dev.lastAt = std::max(dev.lastAt, at);
@@ -162,12 +147,16 @@ EnergyMonitor::runBreakdown(unsigned device) const
     return dev->dtu->energy().breakdown().minus(dev->breakdownBase);
 }
 
-double
-EnergyMonitor::runJoules(unsigned device) const
+void
+EnergyMonitor::onReport(serve::FleetReport &report)
 {
-    const DeviceState *dev = find(device);
-    fatalIf(!dev, "energy monitor does not watch device ", device);
-    return dev->dtu->energy().joules() - dev->joulesBase;
+    EnergyBreakdown fleet;
+    for (serve::DeviceReport &dev : report.perDevice) {
+        const EnergyBreakdown run = runBreakdown(dev.device);
+        serve::finalizeEnergy(dev.report, run);
+        fleet.add(run);
+    }
+    serve::finalizeEnergy(report.fleet, fleet);
 }
 
 const PowerAuditTrail *
@@ -178,17 +167,15 @@ EnergyMonitor::auditTrail(unsigned device) const
 }
 
 void
-EnergyMonitor::recordOps(unsigned device, const std::string &model,
-                         const std::string &phase,
-                         const ExecResult &result)
+EnergyMonitor::onBatchExecuted(const BatchEvent &batch)
 {
     if (!config_.corpus)
         return;
-    for (const OpTrace &op : result.trace) {
+    for (const OpTrace &op : batch.result.trace) {
         EnergyCorpusRow row;
-        row.device = device;
-        row.model = model;
-        row.phase = phase;
+        row.device = batch.device;
+        row.model = batch.model;
+        row.phase = batch.phase;
         row.op = op.name;
         row.kind = opKindName(op.anchor);
         row.macs = op.macs;
@@ -283,8 +270,7 @@ EnergyMonitor::writeJson(std::ostream &os) const
     double fleet_joules = 0.0;
     json.key("per_device").beginArray();
     for (const DeviceState &dev : devices_) {
-        const EnergyBreakdown breakdown =
-            dev.dtu->energy().breakdown().minus(dev.breakdownBase);
+        const EnergyBreakdown breakdown = runBreakdown(dev.device);
         const double joules =
             dev.dtu->energy().joules() - dev.joulesBase;
         const double span = ticksToSeconds(dev.lastAt - dev.runStart);
@@ -444,9 +430,7 @@ EnergyMonitor::writePrometheus(std::ostream &os,
                    "chip energy this run attributed to one component",
                    "counter");
         for (const DeviceState &dev : devices_) {
-            const EnergyBreakdown breakdown =
-                dev.dtu->energy().breakdown().minus(
-                    dev.breakdownBase);
+            const EnergyBreakdown breakdown = runBreakdown(dev.device);
             for (const ComponentColumn &c : kComponents) {
                 os << metric << "{device=\""
                    << promLabelEscape(std::to_string(dev.device))

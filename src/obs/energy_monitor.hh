@@ -23,10 +23,12 @@
  *  - an optional per-operator energy-feature corpus (shape, roofline
  *    intensity, top-down tick mix, joules by component) for offline
  *    modeling;
+ *  - the per-component energy rollup of every serving report (the
+ *    one place reports get energy attribution);
  *  - the EnergyReport JSON artifact and the dtusim_power_* /
  *    dtusim_energy_* Prometheus families.
  *
- * Strictly opt-in, like every observer in this tree: without a
+ * Strictly opt-in, like every ServingObserver in this tree: without a
  * monitor attached the serving path is bit-for-bit unchanged, and
  * every JSON field the monitor adds is gated so energy-disabled
  * artifacts keep the pre-energy format byte-for-byte.
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "obs/fleet_metrics.hh"
+#include "obs/serving_observer.hh"
 #include "power/power_event.hh"
 #include "power/power_model.hh"
 #include "sim/ticks.hh"
@@ -49,7 +52,6 @@ namespace dtu
 {
 
 class Dtu;
-struct ExecResult;
 
 namespace obs
 {
@@ -96,20 +98,20 @@ struct EnergyCorpusRow
 };
 
 /** The fleet-wide energy/power observer. */
-class EnergyMonitor
+class EnergyMonitor : public ServingObserver
 {
   public:
     explicit EnergyMonitor(EnergyMonitorConfig config = {});
 
     const EnergyMonitorConfig &config() const { return config_; }
-    Tick samplePeriod() const { return config_.samplePeriod; }
-    bool corpusEnabled() const { return config_.corpus; }
 
     /**
-     * Watch chip @p dtu as fleet device @p device. Installs the
+     * Watch chip @p dtu as fleet device @p device: a placement
+     * group's index and its leader chip, the numbering every serving
+     * artifact uses, so devices attach in index order. Installs the
      * chip's PowerAuditTrail (unless one is already present) and
      * snapshots the meter baselines. Attach every device before the
-     * first beginRun().
+     * first run begins.
      */
     void attach(unsigned device, Dtu &dtu);
 
@@ -125,47 +127,65 @@ class EnergyMonitor
         flightRec_ = recorder;
     }
 
+    // The serving hooks (see ServingObserver).
+
     /**
      * A serving run starts at simulated time @p at: clear the sample
      * series and each chip's audit trail, and re-baseline the meters
      * so all reported energy is this run's. The corpus is *not*
      * cleared — it accumulates across runs by design.
      */
-    void beginRun(Tick at);
+    void onRunBegin(Tick at) override;
+
+    /** Used when no request tracer states a period after this one. */
+    std::optional<Tick> samplePeriod() const override
+    {
+        return config_.samplePeriod;
+    }
 
     /**
      * Fill the power telemetry of @p sample's device entries (mean
      * watts since the previous sample, cumulative joules, throttle
      * fraction, DVFS point), append the sample to the series, and
-     * drain fresh audit events into the flight recorder. Called by
-     * the serving loop at its metric observation points.
+     * drain fresh audit events into the flight recorder.
      */
-    void annotate(FleetMetricSample &sample);
+    void onSample(FleetMetricSample &sample) override;
 
     /**
      * The run ended at @p at: extend the power-averaging span to the
      * final completion and drain the audit tails.
      */
-    void endRun(Tick at);
+    void onRunEnd(Tick at) override;
 
-    /** Energy consumed by @p device since beginRun(), by component. */
+    /** The corpus records every batch's operator traces. */
+    BatchRecording
+    batchRecording(const std::vector<serve::Request> &) const override
+    {
+        return config_.corpus ? BatchRecording::OpTrace
+                              : BatchRecording::None;
+    }
+
+    /**
+     * Append one executed batch's operator traces to the energy
+     * corpus (no-op unless config().corpus).
+     */
+    void onBatchExecuted(const BatchEvent &batch) override;
+
+    /**
+     * Attribute the run's energy by component: every device report
+     * gets its runBreakdown() (with the generation J/token figures,
+     * see serve::finalizeEnergy), and the fleet aggregate their sum.
+     */
+    void onReport(serve::FleetReport &report) override;
+
+    /** Energy consumed by @p device since the run began, by component. */
     EnergyBreakdown runBreakdown(unsigned device) const;
-
-    /** Joules consumed by @p device since beginRun(). */
-    double runJoules(unsigned device) const;
 
     /** The power-annotated sample series of the current run. */
     const FleetMetricSeries &series() const { return series_; }
 
     /** The audit trail installed on @p device, or nullptr. */
     const PowerAuditTrail *auditTrail(unsigned device) const;
-
-    /**
-     * Append one executed batch's operator traces to the energy
-     * corpus (no-op unless config().corpus).
-     */
-    void recordOps(unsigned device, const std::string &model,
-                   const std::string &phase, const ExecResult &result);
 
     const std::vector<EnergyCorpusRow> &corpus() const
     {
@@ -197,7 +217,7 @@ class EnergyMonitor
         unsigned device = 0;
         Dtu *dtu = nullptr;
         PowerAuditTrail *audit = nullptr;
-        /** Run baselines (set by beginRun). */
+        /** Run baselines (set by onRunBegin). */
         Tick runStart = 0;
         double joulesBase = 0.0;
         EnergyBreakdown breakdownBase;
@@ -212,8 +232,9 @@ class EnergyMonitor
         std::uint64_t forwarded = 0;
     };
 
-    DeviceState *find(unsigned device);
     const DeviceState *find(unsigned device) const;
+    /** Baseline @p dev's meters for a run starting at @p at. */
+    void rebase(DeviceState &dev, Tick at);
     void drainAudit(DeviceState &dev);
 
     EnergyMonitorConfig config_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "runtime/executor.hh"
 #include "sim/logging.hh"
 
 namespace dtu
@@ -110,29 +111,47 @@ RequestTracer::onWeightLoad(unsigned device, const std::string &model,
                  {{"bytes", static_cast<double>(bytes)}});
 }
 
-void
-RequestTracer::onBatchExecuted(unsigned device, Tracer &chip,
-                               const std::vector<serve::Request> &batch,
-                               Tick dispatched, Tick exec_end,
-                               Tick link_ts, unsigned retries)
+BatchRecording
+RequestTracer::batchRecording(
+    const std::vector<serve::Request> &riders) const
 {
-    const bool linked = chip.enabled();
-    TrackId ops = chip.track("runtime", "operators");
-    for (const serve::Request &r : batch) {
+    for (const serve::Request &r : riders) {
+        if (sampled(r.id))
+            return BatchRecording::Timeline;
+    }
+    return BatchRecording::None;
+}
+
+void
+RequestTracer::onBatchExecuted(const BatchEvent &batch)
+{
+    if (batchRecording(batch.riders) == BatchRecording::None)
+        return;
+    // Flow anchor: the midpoint of the first operator span of the
+    // final execution.
+    const ExecResult &result = batch.result;
+    const Tick link_ts =
+        result.trace.empty()
+            ? midpoint(batch.launched, result.end)
+            : midpoint(result.trace.front().start,
+                       result.trace.front().end);
+    const bool linked = batch.chip.enabled();
+    const TrackId ops = batch.chip.track("runtime", "operators");
+    for (const serve::Request &r : batch.riders) {
         if (!sampled(r.id))
             continue;
         RequestRecord &rec = recordFor(r.id, r);
-        rec.outcome.device = static_cast<int>(device);
+        rec.outcome.device = static_cast<int>(batch.device);
         rec.executed = true;
-        rec.outcome.dispatched = dispatched;
-        rec.outcome.completed = exec_end;
-        rec.outcome.batchSize = static_cast<unsigned>(batch.size());
-        rec.outcome.retries = retries;
+        rec.outcome.dispatched = batch.dispatched;
+        rec.outcome.completed = result.end;
+        rec.outcome.batchSize = static_cast<unsigned>(batch.riders.size());
+        rec.outcome.retries = batch.retries;
         rec.deviceLinked = rec.deviceLinked || linked;
         // The hop into the chip timeline: lands inside an operator
         // span of the batch this request rode in.
-        chip.flow(ops, r.model + " #" + std::to_string(r.id),
-                  "request-flow", link_ts, r.id, FlowPhase::Step);
+        batch.chip.flow(ops, r.model + " #" + std::to_string(r.id),
+                        "request-flow", link_ts, r.id, FlowPhase::Step);
     }
 }
 
@@ -207,41 +226,37 @@ void
 RequestTracer::onComplete(unsigned device,
                           const serve::RequestOutcome &completed)
 {
-    const serve::Request &r = completed.request;
-    if (!sampled(r.id))
-        return;
-    RequestRecord &rec = recordFor(r.id, r);
-    const int routed = rec.outcome.device;
-    rec.outcome = completed;
-    if (rec.outcome.device < 0)
-        rec.outcome.device =
-            routed >= 0 ? routed : static_cast<int>(device);
-    rec.executed = true;
-    finishRecord(rec);
-    pending_.erase(r.id);
+    terminal(device, completed, /*executed=*/true);
 }
 
 void
 RequestTracer::onDrop(unsigned device,
                       const serve::RequestOutcome &dropped)
 {
-    const serve::Request &r = dropped.request;
+    terminal(device, dropped, /*executed=*/false);
+}
+
+void
+RequestTracer::terminal(unsigned device,
+                        const serve::RequestOutcome &outcome,
+                        bool executed)
+{
+    const serve::Request &r = outcome.request;
     if (!sampled(r.id))
         return;
     RequestRecord &rec = recordFor(r.id, r);
     const int routed = rec.outcome.device;
-    const bool executed = rec.executed;
-    rec.outcome = dropped;
+    rec.outcome = outcome;
     if (rec.outcome.device < 0)
         rec.outcome.device =
             routed >= 0 ? routed : static_cast<int>(device);
-    rec.executed = executed;
+    rec.executed = rec.executed || executed;
     finishRecord(rec);
     pending_.erase(r.id);
 }
 
 void
-RequestTracer::recordMetrics(const FleetMetricSample &sample)
+RequestTracer::onSample(FleetMetricSample &sample)
 {
     for (const DeviceMetricSample &d : sample.devices) {
         const std::string p = "dev" + std::to_string(d.device);
@@ -261,9 +276,8 @@ RequestTracer::recordMetrics(const FleetMetricSample &sample)
         flight_->recordMetrics(sample);
 }
 
-void
-RequestTracer::exportTrace(const std::vector<const Tracer *> &chips,
-                           std::ostream &os) const
+std::vector<Tracer::ExportPart>
+RequestTracer::exportParts(const std::vector<const Tracer *> &chips) const
 {
     std::vector<Tracer::ExportPart> parts;
     parts.push_back({"", &tracer_});
@@ -271,20 +285,21 @@ RequestTracer::exportTrace(const std::vector<const Tracer *> &chips,
         if (chips[i])
             parts.push_back({"dev" + std::to_string(i), chips[i]});
     }
-    Tracer::exportMergedChromeTrace(parts, os);
+    return parts;
+}
+
+void
+RequestTracer::exportTrace(const std::vector<const Tracer *> &chips,
+                           std::ostream &os) const
+{
+    Tracer::exportMergedChromeTrace(exportParts(chips), os);
 }
 
 void
 RequestTracer::writeTrace(const std::vector<const Tracer *> &chips,
                           const std::string &path) const
 {
-    std::vector<Tracer::ExportPart> parts;
-    parts.push_back({"", &tracer_});
-    for (std::size_t i = 0; i < chips.size(); ++i) {
-        if (chips[i])
-            parts.push_back({"dev" + std::to_string(i), chips[i]});
-    }
-    Tracer::writeMergedChromeTrace(parts, path);
+    Tracer::writeMergedChromeTrace(exportParts(chips), path);
 }
 
 } // namespace obs

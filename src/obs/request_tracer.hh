@@ -23,9 +23,9 @@
  * Sampling is head-based: whether a request is traced is a pure hash
  * of (seed, request id), decided identically at every hook site, so
  * a sampled request's chain is always complete and the decision draws
- * no simulator RNG state. With no RequestTracer attached every hook
- * is a null-pointer check and serving output is bit-for-bit
- * unchanged (golden-asserted in the tests).
+ * no simulator RNG state. The tracer is a ServingObserver
+ * (obs/serving_observer.hh); with no observer attached serving output
+ * is bit-for-bit unchanged (golden-asserted in the tests).
  *
  * The tracer also ingests the fleet's periodic metric snapshots
  * (obs/fleet_metrics.hh), turning them into per-device counter
@@ -44,6 +44,7 @@
 
 #include "obs/fleet_metrics.hh"
 #include "obs/flight_recorder.hh"
+#include "obs/serving_observer.hh"
 #include "serve/request.hh"
 #include "sim/tracer.hh"
 
@@ -71,7 +72,7 @@ struct RequestTraceConfig
 };
 
 /** Samples request lifecycles into a Chrome/Perfetto timeline. */
-class RequestTracer
+class RequestTracer : public ServingObserver
 {
   public:
     explicit RequestTracer(RequestTraceConfig config = {});
@@ -94,48 +95,52 @@ class RequestTracer
         flight_ = recorder;
     }
 
-    //
-    // Lifecycle hooks, called by serve::Fleet / serve::Scheduler.
-    //
+    // The serving hooks (see ServingObserver).
 
     /** The router assigned @p r to @p device (fleet runs only). */
-    void onRoute(unsigned device, const serve::Request &r);
+    void onRoute(unsigned device, const serve::Request &r) override;
 
     /** @p r passed admission control into @p device's queue. */
-    void onAdmit(unsigned device, const serve::Request &r);
+    void onAdmit(unsigned device, const serve::Request &r) override;
 
     /** @p device began a modeled weight load for @p model. */
     void onWeightLoad(unsigned device, const std::string &model,
-                      Tick start, Tick end, std::uint64_t bytes);
+                      Tick start, Tick end, std::uint64_t bytes) override;
+
+    /** A batch carrying a sampled rider records its operator traces
+     *  and the chip timeline (the flow-arrow targets). */
+    BatchRecording
+    batchRecording(const std::vector<serve::Request> &riders) const
+        override;
 
     /**
-     * A batch holding @p batch dispatched on @p device at
-     * @p dispatched and executed through @p exec_end after
-     * @p retries re-runs. @p chip is the device's own tracer —
-     * currently force-enabled by the caller — and @p link_ts is a
-     * tick inside one of the chip-level operator spans the batch
-     * produced; a flow step lands there for every sampled rider.
+     * A batch executed while its chip timeline was force-enabled: a
+     * flow step lands inside its first operator span (the batch
+     * midpoint without one) for every sampled rider.
      */
-    void onBatchExecuted(unsigned device, Tracer &chip,
-                         const std::vector<serve::Request> &batch,
-                         Tick dispatched, Tick exec_end,
-                         Tick link_ts, unsigned retries);
+    void onBatchExecuted(const BatchEvent &batch) override;
 
     /** Terminal state: @p completed finished on @p device. */
     void onComplete(unsigned device,
-                    const serve::RequestOutcome &completed);
+                    const serve::RequestOutcome &completed) override;
 
     /** Terminal state: @p dropped left @p device's pipeline. */
-    void onDrop(unsigned device, const serve::RequestOutcome &dropped);
+    void onDrop(unsigned device,
+                const serve::RequestOutcome &dropped) override;
 
     //
     // Metric time-series.
     //
 
-    Tick metricPeriod() const { return config_.metricPeriod; }
+    /** Always stated (0 included), so it wins over an energy monitor
+     *  listed before the tracer. */
+    std::optional<Tick> samplePeriod() const override
+    {
+        return config_.metricPeriod;
+    }
 
     /** Ingest one fleet snapshot: counter tracks + series + ring. */
-    void recordMetrics(const FleetMetricSample &sample);
+    void onSample(FleetMetricSample &sample) override;
 
     const FleetMetricSeries &metrics() const { return series_; }
 
@@ -169,8 +174,16 @@ class RequestTracer
     RequestRecord &recordFor(std::uint64_t id,
                              const serve::Request &r);
 
+    /** A terminal event; @p executed marks a completion. */
+    void terminal(unsigned device, const serve::RequestOutcome &outcome,
+                  bool executed);
+
     /** Emit the finished record's spans + flows, then retire it. */
     void finishRecord(RequestRecord &rec);
+
+    /** The merged-export parts: request lanes, then each chip. */
+    std::vector<Tracer::ExportPart>
+    exportParts(const std::vector<const Tracer *> &chips) const;
 
     static std::string deviceProcess(int device);
 

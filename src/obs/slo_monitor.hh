@@ -19,8 +19,9 @@
  * registered callback immediately — mid-run, at the simulated time
  * of the crossing — and are also kept for post-run inspection.
  *
- * Strictly opt-in: a Scheduler without a monitor behaves bit-for-bit
- * identically (the hooks are null-pointer checks).
+ * Strictly opt-in: the monitor is a ServingObserver
+ * (obs/serving_observer.hh), and a fleet without observers behaves
+ * bit-for-bit identically.
  */
 
 #ifndef DTU_OBS_SLO_MONITOR_HH
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/serving_observer.hh"
 #include "serve/request.hh"
 #include "sim/ticks.hh"
 
@@ -99,7 +101,7 @@ struct SloWindow
 };
 
 /** Sliding-window SLO monitor fed by the serving scheduler. */
-class SloMonitor
+class SloMonitor : public ServingObserver
 {
   public:
     using AlertCallback = std::function<void(const SloAlert &)>;
@@ -137,6 +139,18 @@ class SloMonitor
      * partial window (if it holds any events).
      */
     void finish(Tick at);
+
+    // The serving hooks: terminal events, clock advances, run end.
+    void onComplete(unsigned, const serve::RequestOutcome &o) override
+    {
+        recordCompletion(o);
+    }
+    void onDrop(unsigned, const serve::RequestOutcome &o) override
+    {
+        recordDrop(o);
+    }
+    void onClockAdvance(Tick now) override { advanceTo(now); }
+    void onRunEnd(Tick at) override { finish(at); }
 
     /** Closed windows so far (empty windows are skipped). */
     const std::vector<SloWindow> &windows() const { return windows_; }

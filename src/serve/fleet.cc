@@ -4,9 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/energy_monitor.hh"
-#include "obs/request_tracer.hh"
-#include "obs/slo_monitor.hh"
+#include "obs/serving_observer.hh"
 #include "serve/arrival.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -170,7 +168,7 @@ Fleet::Fleet(std::vector<Member> members, FleetConfig config)
         const Member &m = members[g * groupSize_];
         devices_.push_back(std::make_unique<Scheduler>(
             *m.dtu, *m.manager, config_.serving, sharedPlans_,
-            planMutex_));
+            planMutex_, static_cast<unsigned>(g), observers_));
         view_.push_back(devices_.back().get());
     }
     rebuildFabric();
@@ -189,40 +187,15 @@ Fleet::rebuildFabric()
         devices_[g]->setSharding(fabric_.get(), g, config_.placement);
 }
 
-void
-Fleet::setSloMonitor(obs::SloMonitor *monitor)
-{
-    sloMon_ = monitor;
-    for (auto &dev : devices_)
-        dev->setSloMonitor(monitor);
-}
-
-void
-Fleet::setRequestTracer(obs::RequestTracer *tracer)
-{
-    reqTracer_ = tracer;
-    for (unsigned i = 0; i < devices_.size(); ++i)
-        devices_[i]->setRequestTracer(tracer, i);
-}
-
-void
-Fleet::setEnergyMonitor(obs::EnergyMonitor *monitor)
-{
-    energyMon_ = monitor;
-    for (unsigned i = 0; i < devices_.size(); ++i)
-        devices_[i]->setEnergyMonitor(monitor, i);
-}
-
 unsigned
 Fleet::effectiveThreads() const
 {
     unsigned threads = std::max(1u, config_.threads);
     threads = static_cast<unsigned>(
         std::min<std::size_t>(threads, devices_.size()));
-    if (threads > 1 && (sloMon_ || reqTracer_ || energyMon_)) {
-        warn("fleet observers (SLO monitor / request tracer / energy "
-             "monitor) need a globally ordered record stream; serving "
-             "with threads=1");
+    if (threads > 1 && !observers_.empty()) {
+        warn("serving observers need a globally ordered event stream; "
+             "serving with threads=1");
         return 1;
     }
     if (threads > 1 && fabric_ && fabric_->peerTrafficSharesRoot()) {
@@ -254,14 +227,18 @@ Fleet::serve(std::vector<Request> trace)
         ++future[r.model];
 
     const std::size_t n = devices_.size();
+    // One step on every device in index order, logging as that device.
+    auto step = [&](auto &&fn) {
+        for (unsigned i = 0; i < n; ++i) {
+            ScopedLogDevice log_dev(static_cast<int>(i));
+            fn(*devices_[i]);
+        }
+    };
     Tick now = trace.empty() ? 0 : trace.front().arrival;
     rebuildFabric();
-    for (unsigned i = 0; i < n; ++i) {
-        ScopedLogDevice log_dev(static_cast<int>(i));
-        devices_[i]->begin(now, &future);
-    }
-    if (energyMon_)
-        energyMon_->beginRun(now);
+    step([&](Scheduler &dev) { dev.begin(now, &future); });
+    for (obs::ServingObserver *o : observers_)
+        o->onRunBegin(now);
 
     // A fresh router per run keeps serve() deterministic regardless
     // of what earlier runs routed.
@@ -276,8 +253,8 @@ Fleet::serve(std::vector<Request> trace)
             --future[r.model];
             unsigned d = router_->route(r, view_);
             fatalIf(d >= n, "router picked device ", d, " of ", n);
-            if (reqTracer_)
-                reqTracer_->onRoute(d, r);
+            for (obs::ServingObserver *o : observers_)
+                o->onRoute(d, r);
             ScopedLogDevice log_dev(static_cast<int>(d));
             devices_[d]->placeModel(r.model, r.arrival,
                                     config_.weightLoadGbps);
@@ -294,17 +271,14 @@ Fleet::serve(std::vector<Request> trace)
     }
 
     admitUpTo(now);
-    for (unsigned i = 0; i < n; ++i) {
-        ScopedLogDevice log_dev(static_cast<int>(i));
-        devices_[i]->settle(now);
-    }
+    step([&](Scheduler &dev) { dev.settle(now); });
     // Periodic metric snapshots: pure observation points. The loop
     // wakes early for them only while a real event is still pending,
     // and the settle/advance steps are idempotent at non-event ticks,
     // so sampling never changes simulated results (or termination).
-    const Tick metric_period =
-        reqTracer_ ? reqTracer_->metricPeriod()
-                   : (energyMon_ ? energyMon_->samplePeriod() : 0);
+    Tick metric_period = 0;
+    for (const obs::ServingObserver *o : observers_)
+        metric_period = o->samplePeriod().value_or(metric_period);
     Tick next_sample =
         metric_period ? (now / metric_period + 1) * metric_period
                       : kNever;
@@ -319,48 +293,33 @@ Fleet::serve(std::vector<Request> trace)
         if (next_arrival < trace.size())
             next = std::min(next, trace[next_arrival].arrival);
         if (next == kNever) {
-            std::size_t stuck = 0;
-            for (const auto &dev : devices_)
-                stuck += dev->queueDepth() + dev->decodeReadyCount();
-            fatalIf(stuck != 0, "fleet serving deadlock: ", stuck,
-                    " queued requests but no future event");
+            checkDrained();
             break;
         }
         if (next_sample < next)
             next = next_sample;
         now = next;
-        for (unsigned i = 0; i < n; ++i) {
-            ScopedLogDevice log_dev(static_cast<int>(i));
-            devices_[i]->advanceCompletions(now);
-        }
+        step([&](Scheduler &dev) { dev.advanceCompletions(now); });
         admitUpTo(now);
-        for (unsigned i = 0; i < n; ++i) {
-            ScopedLogDevice log_dev(static_cast<int>(i));
-            devices_[i]->settle(now);
-        }
+        step([&](Scheduler &dev) { dev.settle(now); });
         if (metric_period && now >= next_sample) {
             obs::FleetMetricSample sample;
             sample.at = now;
-            for (unsigned i = 0; i < n; ++i)
-                sample.devices.push_back(
-                    devices_[i]->metricSample(i));
-            if (energyMon_)
-                energyMon_->annotate(sample);
-            if (reqTracer_)
-                reqTracer_->recordMetrics(sample);
+            for (const auto &dev : devices_)
+                sample.devices.push_back(dev->metricSample());
+            for (obs::ServingObserver *o : observers_)
+                o->onSample(sample);
             next_sample = (now / metric_period + 1) * metric_period;
         }
-        if (sloMon_)
-            sloMon_->advanceTo(now);
+        for (obs::ServingObserver *o : observers_)
+            o->onClockAdvance(now);
     }
     Tick last_completion = 0;
     for (const auto &dev : devices_)
         last_completion =
             std::max(last_completion, dev->lastCompletion());
-    if (sloMon_)
-        sloMon_->finish(std::max(now, last_completion));
-    if (energyMon_)
-        energyMon_->endRun(std::max(now, last_completion));
+    for (obs::ServingObserver *o : observers_)
+        o->onRunEnd(std::max(now, last_completion));
 
     return buildReport(offered, routed);
 }
@@ -420,12 +379,18 @@ Fleet::serveParallel(const std::vector<Request> &trace,
         admit_up_to(now);
         settleAll(now);
     }
+    checkDrained();
+    return now;
+}
+
+void
+Fleet::checkDrained() const
+{
     std::size_t stuck = 0;
     for (const auto &dev : devices_)
         stuck += dev->queueDepth() + dev->decodeReadyCount();
     fatalIf(stuck != 0, "fleet serving deadlock: ", stuck,
             " queued requests but no future event");
-    return now;
 }
 
 FleetReport
@@ -489,14 +454,8 @@ Fleet::buildReport(double offered,
                              batches, joules,
                              utilization / static_cast<double>(n),
                              retries, faults, std::move(fleet_gen));
-    if (energyMon_) {
-        // Fleet-aggregate attribution: sum of the per-device deltas
-        // the schedulers' finish() already attributed.
-        EnergyBreakdown fleet_energy;
-        for (const DeviceReport &dev : report.perDevice)
-            fleet_energy.add(dev.report.energy);
-        finalizeEnergy(report.fleet, fleet_energy);
-    }
+    for (obs::ServingObserver *o : observers_)
+        o->onReport(report);
     return report;
 }
 

@@ -124,9 +124,9 @@ struct FleetConfig
      * arrival times (the only cross-device coupling — routing reads
      * device load, placement — happens at arrivals), devices share
      * nothing inside a window, and every report is bit-identical to
-     * threads=1. Runs with an SLO monitor or request tracer attached
-     * fall back to threads=1 (with a warning): those observers
-     * promise one globally ordered record stream. So do shared-root
+     * threads=1. Runs with any serving observer attached fall back to
+     * threads=1 (with a warning): observers see one globally ordered
+     * event stream (obs/serving_observer.hh). So do shared-root
      * fabric topologies under a model-parallel placement, whose peer
      * traffic would cross the shared root link from worker threads.
      */
@@ -254,32 +254,15 @@ class Fleet
     const fabric::Fabric *fabricPtr() const { return fabric_.get(); }
 
     /**
-     * Attach (or detach) a live SLO monitor fleet-wide: every
-     * device's completions and drops feed one monitor whose windows
-     * the fleet loop advances on the global timeline.
+     * Replace the observers every serving event fans out to, in list
+     * order (obs/serving_observer.hh); they must outlive the runs
+     * they watch. Without observers the serving loop is bit-for-bit
+     * unchanged.
      */
-    void setSloMonitor(obs::SloMonitor *monitor);
-
-    /**
-     * Attach (or detach) a request-lifecycle tracer. Every device
-     * scheduler reports its hooks under its fleet index, the router's
-     * choices become trace instants, and the fleet loop samples the
-     * periodic metric time-series (obs/fleet_metrics.hh) at the
-     * tracer's configured period. Without a tracer the serving loop
-     * is bit-for-bit unchanged.
-     */
-    void setRequestTracer(obs::RequestTracer *tracer);
-
-    /**
-     * Attach (or detach) an energy monitor. Every device scheduler
-     * attributes its run energy by component under its fleet index,
-     * the fleet loop's metric samples carry power telemetry, and the
-     * fleet report gains the per-device and aggregate energy
-     * rollups. Without a monitor the serving loop is bit-for-bit
-     * unchanged. The caller attaches the chips to the monitor
-     * (EnergyMonitor::attach) — the fleet only drives sampling.
-     */
-    void setEnergyMonitor(obs::EnergyMonitor *monitor);
+    void setObservers(std::vector<obs::ServingObserver *> observers)
+    {
+        observers_ = std::move(observers);
+    }
 
   private:
     /** Worker threads serve() will actually use (clamp + fallback). */
@@ -296,6 +279,9 @@ class Fleet
                        std::size_t &next_arrival,
                        const std::function<void(Tick)> &admit_up_to);
 
+    /** Fatal unless no request is left queued (the loop ran dry). */
+    void checkDrained() const;
+
     /** Assemble the per-device and fleet-aggregate reports. */
     FleetReport
     buildReport(double offered,
@@ -307,6 +293,8 @@ class Fleet
     FleetConfig config_;
     /** Physical devices per scheduler core (1 = data parallel). */
     unsigned groupSize_ = 1;
+    /** Every scheduler core borrows this list. */
+    std::vector<obs::ServingObserver *> observers_;
     std::vector<std::unique_ptr<Scheduler>> devices_;
     std::vector<Scheduler *> view_;
     std::unique_ptr<fabric::Fabric> fabric_;
@@ -314,9 +302,6 @@ class Fleet
     PlanCache sharedPlans_;
     /** Guards sharedPlans_ while workers compile concurrently. */
     std::mutex planMutex_;
-    obs::SloMonitor *sloMon_ = nullptr;
-    obs::RequestTracer *reqTracer_ = nullptr;
-    obs::EnergyMonitor *energyMon_ = nullptr;
 };
 
 /**

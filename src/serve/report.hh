@@ -46,7 +46,7 @@ struct PhaseBreakdown
     double bytes = 0.0;
     /**
      * Per-component energy of the phase's operators (filled only
-     * when the run attributes energy; see Scheduler::setEnergyMonitor).
+     * when the run attributes energy; see obs::EnergyMonitor).
      */
     EnergyBreakdown energy;
 

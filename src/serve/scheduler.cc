@@ -6,9 +6,7 @@
 #include "compiler/lowering.hh"
 #include "fabric/fabric.hh"
 #include "models/model_zoo.hh"
-#include "obs/energy_monitor.hh"
-#include "obs/request_tracer.hh"
-#include "obs/slo_monitor.hh"
+#include "obs/serving_observer.hh"
 #include "serve/arrival.hh"
 #include "sim/logging.hh"
 #include "sim/tracer.hh"
@@ -24,25 +22,29 @@ namespace
 
 constexpr Tick kNever = std::numeric_limits<Tick>::max();
 
-/** The per-request completion span, shared by every terminal path. */
-void
-requestSpan(Tracer &tracer, TrackId track, const std::string &model,
-            const RequestOutcome &c)
-{
-    tracer.span(track, model + " #" + std::to_string(c.request.id),
-                "request", c.request.arrival, c.completed,
-                {{"queue_wait_us", ticksToMicroSeconds(c.queueWait())},
-                 {"batch", static_cast<double>(c.batchSize)},
-                 {"missed", c.missedDeadline() ? 1.0 : 0.0}});
-}
-
 } // namespace
 
 Scheduler::Scheduler(Dtu &dtu, ResourceManager &manager,
                      ServingConfig config, PlanCache &plans,
-                     std::mutex &plan_mutex)
+                     std::mutex &plan_mutex, unsigned device,
+                     const std::vector<obs::ServingObserver *> &observers)
     : dtu_(dtu), manager_(manager), config_(std::move(config)),
-      plans_(plans), planMutex_(plan_mutex)
+      plans_(plans), planMutex_(plan_mutex), device_(device),
+      observers_(observers),
+      shedStat_(dtu.stats().counter(
+          "serve.shed_requests",
+          "queued requests shed after deadline expiry")),
+      timedOutStat_(dtu.stats().counter(
+          "serve.timed_out_requests",
+          "queued requests dropped by timeout")),
+      rejectedStat_(dtu.stats().counter(
+          "serve.rejected_requests",
+          "arrivals bounced by admission control")),
+      failedStat_(dtu.stats().counter(
+          "serve.failed_requests",
+          "requests whose batch stayed poisoned")),
+      retryStat_(dtu.stats().counter("serve.batch_retries",
+                                     "poisoned-batch re-executions"))
 {
     fatalIf(config_.batching.maxBatch == 0,
             "dynamic batch size must be at least 1");
@@ -58,23 +60,6 @@ Scheduler::Scheduler(Dtu &dtu, ResourceManager &manager,
             "decode batch size must be at least 1");
     fatalIf(config_.generation.ctxBucket == 0,
             "generation context bucket must be at least 1");
-
-    // The first scheduler on a chip owns the chip-level degradation
-    // counters; further schedulers (the registry rejects duplicate
-    // names) count locally and report through their ServingReport.
-    StatRegistry &stats = dtu_.stats();
-    if (!stats.has("serve.shed_requests")) {
-        shedStat_.init(stats, "serve.shed_requests",
-                       "queued requests shed after deadline expiry");
-        timedOutStat_.init(stats, "serve.timed_out_requests",
-                           "queued requests dropped by timeout");
-        rejectedStat_.init(stats, "serve.rejected_requests",
-                           "arrivals bounced by admission control");
-        failedStat_.init(stats, "serve.failed_requests",
-                         "requests whose batch stayed poisoned");
-        retryStat_.init(stats, "serve.batch_retries",
-                        "poisoned-batch re-executions");
-    }
 }
 
 template <typename BuildGraph>
@@ -110,55 +95,26 @@ Scheduler::plan(const std::string &model, unsigned batch)
 }
 
 const ExecutionPlan &
-Scheduler::prefillPlan(const std::string &model, unsigned batch,
-                      unsigned prompt)
+Scheduler::decoderPlan(const std::string &model, unsigned batch,
+                       unsigned len, bool prefill)
 {
+    // The cache key encodes the phase, the context bucket, and the
+    // shard, so a tensor-parallel plan never collides with the full
+    // model's ("gpt_tiny@p128", "gpt_tiny@d256!tp2").
     const unsigned tp = tpDegreeFor(model);
-    if (tp > 1) {
-        // The cache key encodes the shard so a tensor-parallel plan
-        // never collides with the full model's.
-        return cachedPlan(
-            std::make_pair(model + "@p" + std::to_string(prompt) +
-                               "!tp" + std::to_string(tp),
-                           batch),
-            [&] {
-                return models::buildDecoderPrefillTP(
-                    model, static_cast<int>(batch),
-                    static_cast<int>(prompt), tp);
-            });
-    }
-    return cachedPlan(
-        std::make_pair(model + "@p" + std::to_string(prompt), batch),
-        [&] {
-            return models::buildDecoderPrefill(
-                model, static_cast<int>(batch),
-                static_cast<int>(prompt));
-        });
-}
-
-const ExecutionPlan &
-Scheduler::decodePlan(const std::string &model, unsigned batch,
-                      unsigned ctx)
-{
-    const unsigned tp = tpDegreeFor(model);
-    if (tp > 1) {
-        return cachedPlan(
-            std::make_pair(model + "@d" + std::to_string(ctx) + "!tp" +
-                               std::to_string(tp),
-                           batch),
-            [&] {
-                return models::buildDecoderStepTP(
-                    model, static_cast<int>(batch),
-                    static_cast<int>(ctx), tp);
-            });
-    }
-    return cachedPlan(
-        std::make_pair(model + "@d" + std::to_string(ctx), batch),
-        [&] {
-            return models::buildDecoderStep(model,
-                                            static_cast<int>(batch),
-                                            static_cast<int>(ctx));
-        });
+    std::string key = model + (prefill ? "@p" : "@d") + std::to_string(len);
+    if (tp > 1)
+        key += "!tp" + std::to_string(tp);
+    return cachedPlan(std::make_pair(key, batch), [&] {
+        const int b = static_cast<int>(batch);
+        const int l = static_cast<int>(len);
+        if (prefill) {
+            return tp > 1 ? models::buildDecoderPrefillTP(model, b, l, tp)
+                          : models::buildDecoderPrefill(model, b, l);
+        }
+        return tp > 1 ? models::buildDecoderStepTP(model, b, l, tp)
+                      : models::buildDecoderStep(model, b, l);
+    });
 }
 
 bool
@@ -243,7 +199,6 @@ Scheduler::begin(Tick start, const std::map<std::string, unsigned> *future)
     lastCompletion_ = 0;
     peakQueue_ = 0;
     joulesBefore_ = dtu_.energy().joules();
-    energyBefore_ = dtu_.energy().breakdown();
     faults_ = dtu_.faults();
     faultsBefore_ = faults_ ? faults_->log().size() : 0;
     weightReady_.clear();
@@ -312,8 +267,9 @@ Scheduler::placedWeightBytes(const std::string &model)
         return worst;
     }
     // Full model, or the per-device shard under tensor parallelism
-    // (prefillPlan compiles the sharded graph under a !tp key).
-    return prefillPlan(model, 1, bucketLen(1)).totalWeightBytes();
+    // (decoderPlan compiles the sharded graph under a !tp key).
+    return decoderPlan(model, 1, bucketLen(1), /*prefill=*/true)
+        .totalWeightBytes();
 }
 
 void
@@ -359,6 +315,12 @@ Scheduler::placeModel(const std::string &model, Tick now, double gbps)
                 ? maxTick
                 : secondsToTicks(seconds);
         ready = saturatingAddTicks(start, load);
+        // A load that saturates never finishes: fail here, not later
+        // as a serving deadlock with the model's requests queued.
+        fatalIf(ready == maxTick, "the weight load of model '", model,
+                "' (", bytes, " bytes at ", gbps,
+                " GB/s) cannot finish within the simulated time range; "
+                "raise the fleet weight-load bandwidth");
     }
     loadCursor_ = ready;
     weightReady_[model] = ready;
@@ -376,9 +338,8 @@ Scheduler::placeModel(const std::string &model, Tick now, double gbps)
                     start, ready,
                     {{"bytes", static_cast<double>(moved)}});
     }
-    if (reqTracer_)
-        reqTracer_->onWeightLoad(deviceId_, model, start, ready,
-                                 moved);
+    for (obs::ServingObserver *o : observers_)
+        o->onWeightLoad(device_, model, start, ready, moved);
 }
 
 Tick
@@ -511,22 +472,44 @@ Scheduler::decodeReadyCount() const
     return waiting;
 }
 
+RequestOutcome
+Scheduler::outcomeOf(const Request &r, Tick dispatched, Tick completed,
+                     unsigned batch, unsigned retries) const
+{
+    return {.request = r,
+            .device = static_cast<int>(device_),
+            .dispatched = dispatched,
+            .completed = completed,
+            .batchSize = batch,
+            .retries = retries};
+}
+
 void
 Scheduler::complete(RequestOutcome outcome)
 {
     lastCompletion_ = std::max(lastCompletion_, outcome.completed);
-    if (sloMon_)
-        sloMon_->recordCompletion(outcome);
-    if (reqTracer_)
-        reqTracer_->onComplete(deviceId_, outcome);
+    if (timeline_) {
+        // The per-request arrival-to-completion span.
+        const RequestOutcome &c = outcome;
+        dtu_.tracer().span(
+            reqTrack_, c.request.model + " #" + std::to_string(c.request.id),
+            "request", c.request.arrival, c.completed,
+            {{"queue_wait_us", ticksToMicroSeconds(c.queueWait())},
+             {"batch", static_cast<double>(c.batchSize)},
+             {"missed", c.missedDeadline() ? 1.0 : 0.0}});
+    }
+    for (obs::ServingObserver *o : observers_)
+        o->onComplete(device_, outcome);
     outcomes_.push_back(std::move(outcome));
     ++completedN_;
 }
 
 void
-Scheduler::dropOutcome(RequestOutcome outcome)
+Scheduler::dropOutcome(RequestOutcome outcome, DropReason reason)
 {
-    switch (outcome.dropReason) {
+    outcome.state = terminalStateFor(reason);
+    outcome.dropReason = reason;
+    switch (reason) {
       case DropReason::Rejected: ++rejectedStat_; break;
       case DropReason::Shed: ++shedStat_; break;
       case DropReason::TimedOut: ++timedOutStat_; break;
@@ -539,10 +522,8 @@ Scheduler::dropOutcome(RequestOutcome outcome)
                 std::to_string(outcome.request.id),
             "degradation", outcome.completed);
     }
-    if (sloMon_)
-        sloMon_->recordDrop(outcome);
-    if (reqTracer_)
-        reqTracer_->onDrop(deviceId_, outcome);
+    for (obs::ServingObserver *o : observers_)
+        o->onDrop(device_, outcome);
     outcomes_.push_back(std::move(outcome));
     ++droppedN_;
 }
@@ -550,13 +531,7 @@ Scheduler::dropOutcome(RequestOutcome outcome)
 void
 Scheduler::drop(const Request &r, Tick at, DropReason reason)
 {
-    RequestOutcome o;
-    o.request = r;
-    o.state = terminalStateFor(reason);
-    o.dropReason = reason;
-    o.device = static_cast<int>(deviceId_);
-    o.completed = at;
-    dropOutcome(std::move(o));
+    dropOutcome(outcomeOf(r, 0, at, 0, 0), reason);
 }
 
 void
@@ -591,8 +566,8 @@ Scheduler::admit(const Request &r)
         queue_.push(r);
     }
     peakQueue_ = std::max(peakQueue_, queueDepth());
-    if (reqTracer_)
-        reqTracer_->onAdmit(deviceId_, r);
+    for (obs::ServingObserver *o : observers_)
+        o->onAdmit(device_, r);
 }
 
 // Load shedding + queue timeout: sweep queued requests whose
@@ -632,33 +607,17 @@ Scheduler::dropExpired(Tick at)
 // arrival could grow the batch further — and, when the fleet
 // modeled a weight load for this model, the weights are resident.
 bool
-Scheduler::shouldLaunch(const std::string &model, Tick now) const
+Scheduler::shouldLaunch(const RequestQueue &queue,
+                        const std::string &model, Tick now) const
 {
-    std::size_t depth = queue_.sizeFor(model);
+    std::size_t depth = queue.sizeFor(model);
     if (depth == 0)
         return false;
     if (weightReadyAt(model) > now)
         return false;
     if (depth >= config_.batching.maxBatchFor(model))
         return true;
-    if (now >= saturatingAddTicks(queue_.oldestArrival(model),
-                                  config_.batching.maxQueueDelay))
-        return true;
-    return futureCount(model) == 0;
-}
-
-// The same rule over the generation queue (prefill launches).
-bool
-Scheduler::shouldLaunchGen(const std::string &model, Tick now) const
-{
-    std::size_t depth = genQueue_.sizeFor(model);
-    if (depth == 0)
-        return false;
-    if (weightReadyAt(model) > now)
-        return false;
-    if (depth >= config_.batching.maxBatchFor(model))
-        return true;
-    if (now >= saturatingAddTicks(genQueue_.oldestArrival(model),
+    if (now >= saturatingAddTicks(queue.oldestArrival(model),
                                   config_.batching.maxQueueDelay))
         return true;
     return futureCount(model) == 0;
@@ -671,29 +630,15 @@ Scheduler::executeBatch(const ExecutionPlan &p,
                         unsigned max_retries, bool record_ops,
                         const std::string &model, const char *phase)
 {
-    // A batch carrying a sampled request records its chip-side
-    // operator spans (the flow-arrow targets) even when the user
-    // left the chip timeline off; the op trace supplies the flow
-    // anchor. Recording is observation only — simulated timing is
-    // unchanged.
-    bool sampled_batch = false;
-    if (reqTracer_) {
-        for (const Request &q : riders) {
-            if (reqTracer_->sampled(q.id)) {
-                sampled_batch = true;
-                break;
-            }
-        }
-    }
+    // Observers may ask a batch to record operator traces and the
+    // chip timeline (the request tracer's flow-arrow targets) even
+    // when the user left both off. Recording is observation only —
+    // simulated timing is unchanged.
+    obs::BatchRecording rec = obs::BatchRecording::None;
+    for (const obs::ServingObserver *o : observers_)
+        rec = std::max(rec, o->batchRecording(riders));
     ExecOptions exec_opts = config_.exec;
-    if (sampled_batch)
-        exec_opts.trace = true;
-    if (record_ops)
-        exec_opts.trace = true;
-    // The energy-feature corpus needs every batch's operator traces,
-    // not just the generative phases' — same observation-only rule.
-    const bool corpus = energyMon_ && energyMon_->corpusEnabled();
-    if (corpus)
+    if (record_ops || rec != obs::BatchRecording::None)
         exec_opts.trace = true;
     // Bound ledger memory: free the bandwidth bookings behind the
     // serving clock, since every later launch of this serve starts at
@@ -710,7 +655,8 @@ Scheduler::executeBatch(const ExecutionPlan &p,
     BatchRun run;
     Tick launch_at = now;
     {
-        ScopedTracerEnable chip_scope(dtu_.tracer(), sampled_batch);
+        ScopedTracerEnable chip_scope(
+            dtu_.tracer(), rec == obs::BatchRecording::Timeline);
         for (;;) {
             std::uint64_t before =
                 faults_ ? faults_->poisonCount() : 0;
@@ -729,24 +675,12 @@ Scheduler::executeBatch(const ExecutionPlan &p,
                     "degradation", launch_at);
             }
         }
-        if (sampled_batch) {
-            // Flow anchor: the midpoint of the first operator span
-            // of the final execution.
-            const ExecResult &r = run.result;
-            Tick link =
-                r.trace.empty()
-                    ? launch_at + (r.end - launch_at) / 2
-                    : r.trace.front().start +
-                          (r.trace.front().end -
-                           r.trace.front().start) /
-                              2;
-            reqTracer_->onBatchExecuted(deviceId_, dtu_.tracer(),
-                                        riders, now, r.end, link,
-                                        run.retries);
-        }
+        const obs::BatchEvent event{device_, model, phase, riders, now,
+                                    launch_at, run.retries, run.result,
+                                    dtu_.tracer()};
+        for (obs::ServingObserver *o : observers_)
+            o->onBatchExecuted(event);
     }
-    if (corpus)
-        energyMon_->recordOps(deviceId_, model, phase, run.result);
     run.end = run.result.end;
     return run;
 }
@@ -818,30 +752,16 @@ Scheduler::advanceCompletions(Tick upto)
             // the whole batch's results are suspect and every rider
             // fails together.
             for (const Request &r : b.requests) {
-                RequestOutcome o;
-                o.request = r;
-                o.state = TerminalState::Faulted;
-                o.dropReason = DropReason::Failed;
-                o.device = static_cast<int>(deviceId_);
-                o.dispatched = b.dispatched;
-                o.completed = b.end;
-                o.batchSize = size;
-                o.retries = b.retries;
-                dropOutcome(std::move(o));
+                dropOutcome(
+                    outcomeOf(r, b.dispatched, b.end, size, b.retries),
+                    DropReason::Failed);
             }
             continue;
         }
         for (const Request &r : b.requests) {
-            RequestOutcome c;
-            c.request = r;
-            c.device = static_cast<int>(deviceId_);
-            c.dispatched = b.dispatched;
+            RequestOutcome c =
+                outcomeOf(r, b.dispatched, b.end, size, b.retries);
             c.firstToken = b.end;
-            c.completed = b.end;
-            c.batchSize = size;
-            c.retries = b.retries;
-            if (timeline_)
-                requestSpan(tracer, reqTrack_, b.model, c);
             complete(std::move(c));
         }
     }
@@ -852,23 +772,15 @@ void
 Scheduler::retirePrefill(const ActiveBatch &b)
 {
     KvCache &kv = *kv_;
-    Tracer &tracer = dtu_.tracer();
     const auto size = static_cast<unsigned>(b.requests.size());
     if (b.failed) {
         // A poisoned prefill leaves no trustworthy KV state: the
         // riders fail here and their reservations free immediately.
         for (const Request &r : b.requests) {
             kv.release(r.id);
-            RequestOutcome o;
-            o.request = r;
-            o.state = TerminalState::Faulted;
-            o.dropReason = DropReason::Failed;
-            o.device = static_cast<int>(deviceId_);
-            o.dispatched = b.dispatched;
-            o.completed = b.end;
-            o.batchSize = size;
-            o.retries = b.retries;
-            dropOutcome(std::move(o));
+            dropOutcome(
+                outcomeOf(r, b.dispatched, b.end, size, b.retries),
+                DropReason::Failed);
         }
         return;
     }
@@ -882,17 +794,10 @@ Scheduler::retirePrefill(const ActiveBatch &b)
             // Single-token generation: the first token is also the
             // last, no decode step needed.
             kv.release(r.id);
-            RequestOutcome o;
-            o.request = r;
-            o.device = static_cast<int>(deviceId_);
-            o.dispatched = b.dispatched;
+            RequestOutcome o =
+                outcomeOf(r, b.dispatched, b.end, size, b.retries);
             o.firstToken = b.end;
-            o.completed = b.end;
-            o.batchSize = size;
-            o.retries = b.retries;
             o.tokensEmitted = 1;
-            if (timeline_)
-                requestSpan(tracer, reqTrack_, b.model, o);
             complete(std::move(o));
             continue;
         }
@@ -927,7 +832,6 @@ Scheduler::advanceDecode(Tick upto)
                       return a->stepEnd < b->stepEnd;
                   return a->tenant < b->tenant;
               });
-    Tracer &tracer = dtu_.tracer();
     for (DecodeBatch *bp : due) {
         DecodeBatch &b = *bp;
         b.inStep = false;
@@ -938,18 +842,12 @@ Scheduler::advanceDecode(Tick upto)
             // together at the step end.
             for (DecodeSeq &seq : b.seqs) {
                 kv_->release(seq.request.id);
-                RequestOutcome o;
-                o.request = seq.request;
-                o.state = TerminalState::Faulted;
-                o.dropReason = DropReason::Failed;
-                o.device = static_cast<int>(deviceId_);
-                o.dispatched = seq.dispatched;
+                RequestOutcome o =
+                    outcomeOf(seq.request, seq.dispatched, b.stepEnd,
+                              seq.prefillBatchSize, seq.retries);
                 o.firstToken = seq.firstToken;
-                o.completed = b.stepEnd;
-                o.batchSize = seq.prefillBatchSize;
-                o.retries = seq.retries;
                 o.tokensEmitted = seq.emitted;
-                dropOutcome(std::move(o));
+                dropOutcome(std::move(o), DropReason::Failed);
             }
             b.seqs.clear();
         } else {
@@ -968,17 +866,11 @@ Scheduler::advanceDecode(Tick upto)
                     // continuous mode the slot is joinable at the
                     // very next settle.
                     kv_->release(seq.request.id);
-                    RequestOutcome o;
-                    o.request = seq.request;
-                    o.device = static_cast<int>(deviceId_);
-                    o.dispatched = seq.dispatched;
+                    RequestOutcome o = outcomeOf(
+                        seq.request, seq.dispatched, b.stepEnd,
+                        seq.prefillBatchSize, seq.retries);
                     o.firstToken = seq.firstToken;
-                    o.completed = b.stepEnd;
-                    o.batchSize = seq.prefillBatchSize;
-                    o.retries = seq.retries;
                     o.tokensEmitted = seq.emitted;
-                    if (timeline_)
-                        requestSpan(tracer, reqTrack_, b.model, o);
                     complete(std::move(o));
                 } else {
                     live.push_back(std::move(seq));
@@ -1017,7 +909,7 @@ Scheduler::launchOneShots(Tick now)
     while (launched) {
         launched = false;
         for (const std::string &model : queue_.models()) {
-            while (shouldLaunch(model, now) &&
+            while (shouldLaunch(queue_, model, now) &&
                    manager_.freeGroups() >= config_.groupsPerBatch) {
                 auto lease = manager_.allocate(
                     nextTenant_, config_.groupsPerBatch, now);
@@ -1030,15 +922,13 @@ Scheduler::launchOneShots(Tick now)
                 BatchRun run = executeBatch(
                     p, reqs, lease->groups, now,
                     degrade.maxBatchRetries, false, model, "batch");
-                ActiveBatch batch;
-                batch.end = run.end;
-                batch.dispatched = now;
-                batch.tenant = nextTenant_;
-                batch.model = model;
-                batch.requests = std::move(reqs);
-                batch.retries = run.retries;
-                batch.failed = run.poisoned;
-                active_.push_back(std::move(batch));
+                active_.push_back({.end = run.end,
+                                   .dispatched = now,
+                                   .tenant = nextTenant_,
+                                   .model = model,
+                                   .requests = std::move(reqs),
+                                   .retries = run.retries,
+                                   .failed = run.poisoned});
                 ++nextTenant_;
                 ++batches_;
                 launched = true;
@@ -1140,7 +1030,7 @@ Scheduler::launchGeneration(Tick now)
     while (launched) {
         launched = false;
         for (const std::string &model : genQueue_.models()) {
-            while (shouldLaunchGen(model, now) &&
+            while (shouldLaunch(genQueue_, model, now) &&
                    manager_.freeGroups() >= config_.groupsPerBatch) {
                 const Request *head = genQueue_.front(model);
                 if (!head)
@@ -1174,30 +1064,29 @@ Scheduler::launchGeneration(Tick now)
                 for (const Request &r : reqs)
                     max_prompt =
                         std::max(max_prompt, r.gen.promptLen);
-                const ExecutionPlan &p = prefillPlan(
+                const ExecutionPlan &p = decoderPlan(
                     model, static_cast<unsigned>(reqs.size()),
-                    bucketLen(max_prompt));
+                    bucketLen(max_prompt), /*prefill=*/true);
                 BatchRun run = executeBatch(
                     p, reqs, lease->groups, now,
                     degrade.maxBatchRetries, true, model, "prefill");
                 accumulatePhase(genLog_.prefill, run.result);
                 ++genLog_.prefillBatches;
-                ActiveBatch batch;
-                batch.end =
+                const Tick end =
                     shardedDecoder(model)
                         ? shardOverlay(
                               model, now, run.end,
                               static_cast<unsigned>(reqs.size()),
                               bucketLen(max_prompt))
                         : run.end;
-                batch.dispatched = now;
-                batch.tenant = nextTenant_;
-                batch.model = model;
-                batch.requests = std::move(reqs);
-                batch.retries = run.retries;
-                batch.failed = run.poisoned;
-                batch.prefill = true;
-                active_.push_back(std::move(batch));
+                active_.push_back({.end = end,
+                                   .dispatched = now,
+                                   .tenant = nextTenant_,
+                                   .model = model,
+                                   .requests = std::move(reqs),
+                                   .retries = run.retries,
+                                   .failed = run.poisoned,
+                                   .prefill = true});
                 ++nextTenant_;
                 ++batches_;
                 launched = true;
@@ -1218,8 +1107,8 @@ Scheduler::launchDecodeStep(DecodeBatch &b, Tick now)
     const unsigned cost_batch =
         gen.continuousBatching ? static_cast<unsigned>(b.seqs.size())
                                : b.formed;
-    const ExecutionPlan &p =
-        decodePlan(b.model, cost_batch, bucketLen(ctx));
+    const ExecutionPlan &p = decoderPlan(b.model, cost_batch,
+                                         bucketLen(ctx), /*prefill=*/false);
     std::vector<Request> riders;
     riders.reserve(b.seqs.size());
     for (const DecodeSeq &seq : b.seqs)
@@ -1297,10 +1186,10 @@ Scheduler::nextEvent(Tick now) const
 }
 
 obs::DeviceMetricSample
-Scheduler::metricSample(unsigned device) const
+Scheduler::metricSample() const
 {
     obs::DeviceMetricSample d;
-    d.device = device;
+    d.device = device_;
     d.queueDepth = queueDepth();
     d.inFlightBatches = inFlightBatches();
     d.outstanding = outstanding();
@@ -1335,10 +1224,6 @@ Scheduler::finish(double offered_qps)
         manager_.utilization(lastCompletion_), batchRetries_,
         faults_ ? faults_->log().size() - faultsBefore_ : 0,
         generationLog());
-    if (energyMon_) {
-        finalizeEnergy(report,
-                       dtu_.energy().breakdown().minus(energyBefore_));
-    }
     outcomes_.clear();
     return report;
 }

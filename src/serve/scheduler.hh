@@ -53,9 +53,7 @@ namespace dtu
 
 namespace obs
 {
-class SloMonitor;
-class RequestTracer;
-class EnergyMonitor;
+class ServingObserver;
 } // namespace obs
 
 namespace fabric
@@ -197,14 +195,20 @@ class Scheduler
 {
   public:
     /**
-     * A core on @p dtu leasing from @p manager. Compiled plans are
-     * memoized in @p plans, which the fleet shares across its
-     * identically configured devices (plans are pure functions of the
-     * DtuConfig; sharing is a host-side memoization only). Lookups
-     * lock @p plan_mutex, compilation happens outside the lock (a
-     * losing racer's copy is discarded), and entries are never
-     * erased, so returned references stay valid unlocked — which is
-     * what lets fleet worker threads share the cache.
+     * Fleet device @p device's core on @p dtu, leasing from
+     * @p manager. Compiled plans are memoized in @p plans, which the
+     * fleet shares across its identically configured devices (plans
+     * are pure functions of the DtuConfig; sharing is a host-side
+     * memoization only). Lookups lock @p plan_mutex, compilation
+     * happens outside the lock (a losing racer's copy is discarded),
+     * and entries are never erased, so returned references stay valid
+     * unlocked — which is what lets fleet worker threads share the
+     * cache.
+     *
+     * Every admission, weight load, executed batch, completion, and
+     * drop fans out to @p observers (the fleet's list, borrowed for
+     * the core's lifetime) under @p device, and every outcome is
+     * stamped with it.
      *
      * When the chip's Tracer is enabled (or config.exec.timeline is
      * set), every request contributes an arrival-to-completion span
@@ -212,50 +216,14 @@ class Scheduler
      * operator spans in the same timeline.
      */
     Scheduler(Dtu &dtu, ResourceManager &manager, ServingConfig config,
-              PlanCache &plans, std::mutex &plan_mutex);
+              PlanCache &plans, std::mutex &plan_mutex, unsigned device,
+              const std::vector<obs::ServingObserver *> &observers);
 
     /** Compiled-plan cache size (plans are memoized per model/batch). */
     std::size_t cachedPlans() const { return plans_.size(); }
 
     /** The chip this core schedules onto. */
     Dtu &chip() { return dtu_; }
-
-    /**
-     * Attach (or detach, with nullptr) a live SLO monitor. The
-     * scheduler feeds it every completion and drop as they happen and
-     * advances its windows with the event loop, so alert callbacks
-     * fire at the simulated time of the threshold crossing. Without a
-     * monitor the serving path is bit-for-bit unchanged.
-     */
-    void setSloMonitor(obs::SloMonitor *monitor) { sloMon_ = monitor; }
-
-    /**
-     * Attach (or detach, with nullptr) a request-lifecycle tracer as
-     * fleet device @p device. The scheduler reports admissions, batch
-     * executions, completions, drops, and weight loads, and
-     * force-enables the chip timeline around batches carrying a
-     * sampled request so their operator spans exist for flow linking.
-     * Without a tracer the serving path is bit-for-bit unchanged.
-     */
-    void setRequestTracer(obs::RequestTracer *tracer, unsigned device)
-    {
-        reqTracer_ = tracer;
-        deviceId_ = device;
-    }
-
-    /**
-     * Attach (or detach, with nullptr) an energy monitor as fleet
-     * device @p device. finish() then attributes the run's energy by
-     * component (finalizeEnergy), metric samples carry power
-     * telemetry, and — when the monitor's corpus is enabled — every
-     * batch records its per-operator energy features. Without a
-     * monitor the serving path is bit-for-bit unchanged.
-     */
-    void setEnergyMonitor(obs::EnergyMonitor *monitor, unsigned device)
-    {
-        energyMon_ = monitor;
-        deviceId_ = device;
-    }
 
     /**
      * Attach (or detach, with nullptr) the fleet interconnect. This
@@ -328,15 +296,6 @@ class Scheduler
     /** Summarize the run (moves out the outcome log). */
     ServingReport finish(double offered_qps);
 
-    /** Queue empty and nothing in flight. */
-    bool
-    idle() const
-    {
-        return queue_.empty() && genQueue_.empty() &&
-               active_.empty() && decoding_.empty() &&
-               decodeReadyCount() == 0;
-    }
-
     /** Requests waiting in the arrival queues. */
     std::size_t
     queueDepth() const
@@ -350,12 +309,6 @@ class Scheduler
     /** Batches dispatched and not yet completed. */
     std::size_t inFlightBatches() const;
 
-    /** Requests completed so far this run. */
-    std::uint64_t completedCount() const { return completedN_; }
-
-    /** Requests dropped so far this run. */
-    std::uint64_t droppedCount() const { return droppedN_; }
-
     /** Sequences through prefill, waiting for a decode slot. */
     std::size_t decodeReadyCount() const;
 
@@ -366,14 +319,8 @@ class Scheduler
      */
     GenerationLog generationLog() const;
 
-    /** The device's KV cache (nullptr before any generative admit). */
-    const KvCache *kvCache() const { return kv_.get(); }
-
-    /** Poisoned-batch re-executions so far this run. */
-    std::uint64_t batchRetryCount() const { return batchRetries_; }
-
-    /** Snapshot the live serving state as fleet device @p device. */
-    obs::DeviceMetricSample metricSample(unsigned device) const;
+    /** Snapshot the live serving state. */
+    obs::DeviceMetricSample metricSample() const;
 
     /** Highest queue depth seen this run. */
     std::size_t peakQueueDepth() const { return peakQueue_; }
@@ -492,13 +439,11 @@ class Scheduler
     /** Memoized compile of @p model at @p batch samples. */
     const ExecutionPlan &plan(const std::string &model, unsigned batch);
 
-    /** Memoized decoder prefill / decode-step plans. The cache key
-     *  encodes the phase and context bucket in the model string
-     *  ("gpt_tiny@p128", "gpt_tiny@d256"). */
-    const ExecutionPlan &prefillPlan(const std::string &model,
-                                     unsigned batch, unsigned prompt);
-    const ExecutionPlan &decodePlan(const std::string &model,
-                                    unsigned batch, unsigned ctx);
+    /** Memoized decoder prefill (at prompt length @p len) or
+     *  decode-step (at context length @p len) plan. */
+    const ExecutionPlan &decoderPlan(const std::string &model,
+                                     unsigned batch, unsigned len,
+                                     bool prefill);
 
     /** @p len rounded up to the generation ctxBucket multiple. */
     unsigned bucketLen(unsigned len) const;
@@ -550,14 +495,19 @@ class Scheduler
     static void accumulatePhase(PhaseBreakdown &phase,
                                 const ExecResult &result);
 
-    /** Record one completion (stats, timeline, tracer, SLO monitor). */
+    /** An outcome of @p r on this device (terminal fields unset). */
+    RequestOutcome outcomeOf(const Request &r, Tick dispatched,
+                             Tick completed, unsigned batch,
+                             unsigned retries) const;
+
+    /** Record one completion (timeline, observers). */
     void complete(RequestOutcome outcome);
 
-    /** Record one dropped request (stats, tracer, SLO monitor). */
+    /** Record one dropped request (stats, timeline, observers). */
     void drop(const Request &request, Tick at, DropReason reason);
 
     /** drop() with execution context (failed batches). */
-    void dropOutcome(RequestOutcome outcome);
+    void dropOutcome(RequestOutcome outcome, DropReason reason);
 
     /** Retire one finished prefill batch into the decode stage. */
     void retirePrefill(const ActiveBatch &batch);
@@ -577,11 +527,9 @@ class Scheduler
     /** Shed expired deadlines / enforce queue timeouts at @p now. */
     void dropExpired(Tick now);
 
-    /** Launch rule for @p model at @p now. */
-    bool shouldLaunch(const std::string &model, Tick now) const;
-
-    /** Launch rule for queued prefills of @p model at @p now. */
-    bool shouldLaunchGen(const std::string &model, Tick now) const;
+    /** Launch rule for @p model's requests in @p queue at @p now. */
+    bool shouldLaunch(const RequestQueue &queue, const std::string &model,
+                      Tick now) const;
 
     /** Not-yet-admitted arrivals of @p model (0 without a map). */
     unsigned futureCount(const std::string &model) const;
@@ -596,28 +544,22 @@ class Scheduler
     PlanCache &plans_;
     std::mutex &planMutex_;
 
-    //
-    // Degradation counters. The first scheduler on a chip registers
-    // them as "serve.*" in the chip's StatRegistry; later schedulers
-    // on the same chip count locally (the registry rejects duplicate
-    // names), and the authoritative per-run numbers always live in
-    // the ServingReport.
-    //
-    Stat shedStat_;
-    Stat timedOutStat_;
-    Stat rejectedStat_;
-    Stat failedStat_;
-    Stat retryStat_;
+    /** This core's fleet device (placement group) index. */
+    unsigned device_;
+    /** The fleet's observer list (not owned). */
+    const std::vector<obs::ServingObserver *> &observers_;
 
-    /** Optional live SLO monitor (not owned). */
-    obs::SloMonitor *sloMon_ = nullptr;
-
-    /** Optional request-lifecycle tracer (not owned). */
-    obs::RequestTracer *reqTracer_ = nullptr;
-    /** Optional energy monitor (not owned). */
-    obs::EnergyMonitor *energyMon_ = nullptr;
-    /** This scheduler's device index under the fleet observers. */
-    unsigned deviceId_ = 0;
+    //
+    // Degradation counters: "serve.*" stats the chip's StatRegistry
+    // owns, so they outlive this core and every scheduler on the chip
+    // adds to the same ones. The authoritative per-run numbers live
+    // in the ServingReport.
+    //
+    Stat &shedStat_;
+    Stat &timedOutStat_;
+    Stat &rejectedStat_;
+    Stat &failedStat_;
+    Stat &retryStat_;
     /** Optional fleet interconnect (not owned; see setSharding). */
     fabric::Fabric *fabric_ = nullptr;
     /** The placement group this scheduler drives over the fabric. */
@@ -656,8 +598,6 @@ class Scheduler
     Tick lastCompletion_ = 0;
     std::size_t peakQueue_ = 0;
     double joulesBefore_ = 0.0;
-    /** Meter breakdown at begin(), for the run's component delta. */
-    EnergyBreakdown energyBefore_;
     std::uint64_t faultsBefore_ = 0;
     FaultInjector *faults_ = nullptr;
     /** Model -> tick its weights are resident (placement state). */

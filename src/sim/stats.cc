@@ -161,6 +161,17 @@ StatRegistry::add(Histogram *histogram)
     histograms_[histogram->name()] = histogram;
 }
 
+Stat &
+StatRegistry::counter(const std::string &name, std::string description)
+{
+    auto it = scalars_.find(name);
+    if (it != scalars_.end())
+        return *it->second;
+    owned_.push_back(std::make_unique<Stat>());
+    owned_.back()->init(*this, name, std::move(description));
+    return *owned_.back();
+}
+
 double
 StatRegistry::lookup(const std::string &name) const
 {

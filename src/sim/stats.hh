@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -186,6 +187,14 @@ class StatRegistry
     void add(Histogram *histogram);
 
     /**
+     * The registry-owned scalar stat @p name, created on first use.
+     * For counters whose users come and go while the registry lives
+     * (a serving run on a long-lived chip): they share the one stat,
+     * and it never dangles.
+     */
+    Stat &counter(const std::string &name, std::string description);
+
+    /**
      * Look up a scalar stat by exact name.
      * @return the value, or 0.0 when absent (with a warn(), so a
      *         misspelled name cannot silently read zeros — prefer
@@ -240,6 +249,8 @@ class StatRegistry
   private:
     std::map<std::string, Stat *> scalars_;
     std::map<std::string, Histogram *> histograms_;
+    /** The stats counter() created. */
+    std::vector<std::unique_ptr<Stat>> owned_;
 };
 
 } // namespace dtu

@@ -33,7 +33,7 @@ done
 jobs=$(nproc 2>/dev/null || echo 4)
 
 # Suites covering the parallel fleet path + event queue (tier 4).
-tsan_filter='^(Determinism|EventQueue|EventQueueProperty|FleetTest|GoldenFleet|GoldenLlm|Frontend|LlmServing|SchedulerTest|ServerTest|ServingReportTest|DegradationTest|RequestQueueTest)\.'
+tsan_filter='^(Determinism|EventQueue|EventQueueProperty|FleetTest|GoldenFleet|GoldenLlm|Frontend|LlmServing|SchedulerTest|ServerTest|ServingReportTest|DegradationTest|RequestQueueTest|ServingObserverTest)\.'
 
 echo "== tier 1: fast tests =="
 cmake -B build -S . >/dev/null

@@ -241,7 +241,7 @@ TEST(EnergyMonitorTest, AnnotateGuardsZeroSpansAndZeroWindows)
     Device device;
     obs::EnergyMonitor monitor;
     monitor.attach(0, device.chip());
-    monitor.beginRun(0);
+    monitor.onRunBegin(0);
     obs::FleetMetricSample sample;
     sample.at = 0;
     obs::DeviceMetricSample dev;
@@ -249,7 +249,7 @@ TEST(EnergyMonitorTest, AnnotateGuardsZeroSpansAndZeroWindows)
     sample.devices.push_back(dev);
     // dt == 0 and zero CPME windows: both ratios must clamp to 0
     // instead of dividing by zero.
-    monitor.annotate(sample);
+    monitor.onSample(sample);
     const obs::DeviceMetricSample &d = sample.devices[0];
     ASSERT_TRUE(d.hasPower);
     EXPECT_TRUE(std::isfinite(d.powerWatts));
@@ -341,12 +341,10 @@ TEST(EnergyMonitorTest, FleetThreadsFallBackToSerialWithWarning)
     // threads=2 with an observer attached downgrades to the serial
     // driver (the monitor needs a globally ordered record stream)...
     if (loggingEnabled()) {
-        EXPECT_NE(parallel_warning.find("energy monitor"),
-                  std::string::npos)
+        EXPECT_NE(parallel_warning.find("observers"), std::string::npos)
             << parallel_warning;
         EXPECT_NE(parallel_warning.find("threads=1"), std::string::npos);
-        EXPECT_EQ(serial_warning.find("energy monitor"),
-                  std::string::npos);
+        EXPECT_EQ(serial_warning.find("observers"), std::string::npos);
     }
     // ...and reproduces the serial run byte-for-byte.
     EXPECT_EQ(serial, parallel);
@@ -387,6 +385,56 @@ TEST(EnergyMonitorTest, GenerationRunReportsJoulesPerToken)
     EXPECT_NE(os.str().find("\"joules_per_token\""), std::string::npos);
     EXPECT_NE(os.str().find("\"decode_joules_per_token\""),
               std::string::npos);
+}
+
+TEST(EnergyMonitorTest, TensorParallelSamplesWatchEachGroupsLeaderChip)
+{
+    // TP=2 on 4 chips: groups 0 and 1 run on leader chips 0 and 2.
+    // The monitor numbers devices the way perDevice and the metric
+    // samples do, by group, so every group's samples read the chip
+    // that actually served it.
+    serve::FleetConfig config;
+    config.devices = 4;
+    config.routing = serve::RoutingPolicy::RoundRobin;
+    config.serving.batching.maxBatch = 4;
+    config.fabric.enabled = true;
+    config.fabric.topology = fabric::Topology::Ring;
+    config.placement.mode = serve::PlacementMode::TensorParallel;
+    config.placement.degree = 2;
+    FleetServer fleet(config);
+    obs::EnergyMonitor &monitor =
+        fleet.enableEnergyMonitor({.samplePeriod = secondsToTicks(50e-6)});
+    for (unsigned i = 0; i < 8; ++i) {
+        serve::RequestSpec spec;
+        spec.model = "gpt_tiny";
+        spec.arrival = secondsToTicks(1e-4) * i;
+        spec.gen.promptLen = 32;
+        spec.gen.maxNewTokens = 8;
+        fleet.submit(spec);
+    }
+    const serve::FleetReport &r = fleet.serveFleet();
+    ASSERT_EQ(r.perDevice.size(), 2u);
+    EXPECT_EQ(monitor.deviceCount(), 2u);
+    ASSERT_FALSE(monitor.series().samples().empty());
+    for (const serve::DeviceReport &dev : r.perDevice) {
+        ASSERT_GT(dev.report.requests, 0u) << "group " << dev.device;
+        const double joules = dev.report.joules;
+        EXPECT_GT(joules, 0.0);
+        EXPECT_NEAR(monitor.runBreakdown(dev.device).total(), joules,
+                    1e-9 * joules);
+        double peak_watts = 0.0;
+        for (const obs::FleetMetricSample &s : monitor.series().samples())
+            peak_watts = std::max(peak_watts,
+                                  s.devices.at(dev.device).powerWatts);
+        EXPECT_GT(peak_watts, 0.0) << "group " << dev.device;
+        const obs::DeviceMetricSample &last =
+            monitor.series().latest()->devices.at(dev.device);
+        ASSERT_EQ(last.device, dev.device);
+        ASSERT_TRUE(last.hasPower);
+        EXPECT_GT(last.energyJoules, 0.0) << "group " << dev.device;
+        EXPECT_NEAR(last.energyJoules, joules, 1e-9 * joules)
+            << "group " << dev.device;
+    }
 }
 
 //

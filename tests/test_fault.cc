@@ -13,6 +13,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "api/server.hh"
 #include "api/tops_runtime.hh"
 #include "compiler/lowering.hh"
 #include "models/model_zoo.hh"
@@ -332,12 +333,7 @@ TEST(DegradationTest, AdmissionControlBouncesOverflowArrivals)
     // A simultaneous burst far over the queue limit.
     auto trace = finalizeTrace(
         {fixedRateTrace("conformer", 1e9, 24)});
-    // The chip's serve.* counters live in the fleet's scheduler, so
-    // the fleet must outlive the stat lookup below.
-    FleetConfig one_device;
-    one_device.serving = config;
-    Fleet fleet({{&chip, &rm}}, one_device);
-    ServingReport report = fleet.serve(trace).perDevice.front().report;
+    ServingReport report = serveOnChip(chip, rm, config, trace);
     EXPECT_GT(report.rejectedRequests, 0u);
     EXPECT_EQ(report.submitted, 24u);
     EXPECT_EQ(report.requests + droppedOf(report).size(), 24u);
@@ -347,6 +343,43 @@ TEST(DegradationTest, AdmissionControlBouncesOverflowArrivals)
     EXPECT_DOUBLE_EQ(
         chip.stats().lookup("serve.rejected_requests"),
         static_cast<double>(report.rejectedRequests));
+}
+
+TEST(DegradationTest, ServeStatsOutliveTheServerThatCounted)
+{
+    // The serve.* counters belong to the chip: a destroyed Server
+    // leaves them readable (stats dump, lookup), and a later Server on
+    // the same device keeps adding to them.
+    Device device;
+    ServingConfig config = degradedConfig(2);
+    config.degradation.admissionLimit = 3;
+    auto burst = [] {
+        return finalizeTrace({fixedRateTrace("conformer", 1e9, 24)});
+    };
+    std::uint64_t first = 0;
+    {
+        Server server(device, config);
+        server.submit(burst());
+        first = server.serve().rejectedRequests;
+    }
+    ASSERT_GT(first, 0u);
+    std::ostringstream dump;
+    device.chip().stats().dump(dump);
+    EXPECT_NE(dump.str().find("serve.rejected_requests"),
+              std::string::npos);
+    EXPECT_DOUBLE_EQ(device.chip().stats().lookup("serve.rejected_requests"),
+                     static_cast<double>(first));
+
+    Server again(device, config);
+    again.submit(burst());
+    const std::uint64_t second = again.serve().rejectedRequests;
+    EXPECT_EQ(second, first);
+    EXPECT_DOUBLE_EQ(device.chip().stats().lookup("serve.rejected_requests"),
+                     static_cast<double>(first + second));
+    std::ostringstream prom;
+    again.writePrometheus(prom);
+    EXPECT_NE(prom.str().find("serve_rejected_requests"),
+              std::string::npos);
 }
 
 TEST(DegradationTest, ShedsRequestsWhoseDeadlineExpired)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -471,6 +472,31 @@ TEST(FleetTest, PolicyNamesRoundTrip)
     EXPECT_FALSE(parseRoutingPolicy("random").has_value());
 }
 
+TEST(FleetTest, EveryOutcomeNamesTheDeviceThatServedIt)
+{
+    // No observer attached: the device stamp must not depend on one.
+    FleetConfig config;
+    config.devices = 4;
+    config.routing = RoutingPolicy::RoundRobin;
+    config.serving = fleetServingConfig();
+    FleetServer fleet(config);
+    fleet.submit(finalizeTrace({poissonTrace("resnet50", 4000.0, 32, 8)}));
+    const FleetReport &report = fleet.serveFleet();
+    ASSERT_EQ(report.perDevice.size(), 4u);
+    std::size_t seen = 0;
+    for (const DeviceReport &dev : report.perDevice) {
+        EXPECT_EQ(dev.routed, 8u);
+        for (const RequestOutcome &o : dev.report.outcomes) {
+            EXPECT_EQ(o.device, static_cast<int>(dev.device))
+                << "request #" << o.request.id;
+            ++seen;
+        }
+    }
+    EXPECT_EQ(seen, 32u);
+    for (const RequestOutcome &o : report.fleet.outcomes)
+        EXPECT_GE(o.device, 0);
+}
+
 TEST(FleetTest, MisconfiguredFleetIsFatal)
 {
     FleetConfig empty;
@@ -494,16 +520,39 @@ TEST(FleetTest, MisconfiguredFleetIsFatal)
 
 TEST(FleetTest, TinyWeightLoadRateSaturatesTheLoadTime)
 {
-    // bytes / rate overflows the tick range; the load time saturates
-    // at maxTick (the ledger's "never") instead of wrapping.
+    // bytes / rate overflows the tick range. The load time saturates
+    // at maxTick (the ledger's "never") instead of wrapping, and a
+    // load that never finishes is a placement error naming the model
+    // and the rate, not a later serving deadlock.
+    auto expectLoadFatal = [](const std::function<void()> &place) {
+        try {
+            place();
+            ADD_FAILURE() << "a never-finishing weight load was placed";
+        } catch (const FatalError &err) {
+            const std::string what = err.what();
+            EXPECT_NE(what.find("'conformer'"), std::string::npos) << what;
+            EXPECT_NE(what.find("1e-300 GB/s"), std::string::npos) << what;
+            EXPECT_EQ(what.find("deadlock"), std::string::npos) << what;
+        }
+    };
     Dtu chip(dtu2Config());
     ResourceManager rm(chip);
     FleetConfig config;
     config.weightLoadGbps = 1e-300;
     Fleet fleet({{&chip, &rm}}, config);
-    fleet.device(0).placeModel("conformer", /*now=*/5, 1e-300);
-    EXPECT_EQ(fleet.device(0).weightLoads(), 1u);
-    EXPECT_EQ(fleet.device(0).weightLoadTicks(), maxTick - 5);
+    expectLoadFatal(
+        [&] { fleet.device(0).placeModel("conformer", /*now=*/5, 1e-300); });
+    EXPECT_EQ(fleet.device(0).weightLoads(), 0u);
+    expectLoadFatal([&] {
+        fleet.serve(finalizeTrace({fixedRateTrace("conformer", 1e3, 4)}));
+    });
+
+    // A slow load that still fits the tick range places as before.
+    Fleet slow({{&chip, &rm}}, config);
+    slow.device(0).placeModel("conformer", /*now=*/5, 1e-6);
+    EXPECT_EQ(slow.device(0).weightLoads(), 1u);
+    EXPECT_GT(slow.device(0).weightLoadTicks(), 0u);
+    EXPECT_LT(slow.device(0).weightLoadTicks(), maxTick - 5);
 }
 
 //
