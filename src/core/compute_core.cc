@@ -23,7 +23,7 @@ ComputeCore::ComputeCore(std::string name, EventQueue &queue,
     : SimObject(std::move(name), queue, stats), clock_(clock),
       config_(config), regs_(config.regs), matrix_(!config.dtu2),
       spu_(), icache_(icache), sync_(sync), dma_(dma),
-      l1Data_(config.l1Bytes / 4, 0.0)
+      l1Words_(config.l1Bytes / 4)
 {
     if (stats) {
         statPackets_.init(*stats, this->name() + ".packets",
@@ -47,18 +47,26 @@ ComputeCore::ComputeCore(std::string name, EventQueue &queue,
     }
 }
 
+std::vector<double> &
+ComputeCore::l1Store()
+{
+    if (l1Data_.empty())
+        l1Data_.assign(l1Words_, 0.0);
+    return l1Data_;
+}
+
 double
 ComputeCore::l1Word(std::uint64_t index) const
 {
-    panicIf(index >= l1Data_.size(), "L1 word index out of range");
-    return l1Data_[index];
+    panicIf(index >= l1Words_, "L1 word index out of range");
+    return l1Data_.empty() ? 0.0 : l1Data_[index];
 }
 
 void
 ComputeCore::setL1Word(std::uint64_t index, double value)
 {
-    panicIf(index >= l1Data_.size(), "L1 word index out of range");
-    l1Data_[index] = value;
+    panicIf(index >= l1Words_, "L1 word index out of range");
+    l1Store()[index] = value;
 }
 
 void
@@ -162,19 +170,21 @@ ComputeCore::run(const Kernel &kernel, int kernel_id, Tick start)
               case Opcode::VLoad: {
                 auto base = static_cast<std::uint64_t>(
                     regs_.sreg(inst.a));
-                panicIf(base + lanes > l1Data_.size(),
+                panicIf(base + lanes > l1Words_,
                         "vload beyond L1 on '", name(), "'");
+                const std::vector<double> &l1 = l1Store();
                 for (unsigned l = 0; l < lanes; ++l)
-                    regs_.setVlane(inst.dst, l, l1Data_[base + l]);
+                    regs_.setVlane(inst.dst, l, l1[base + l]);
                 break;
               }
               case Opcode::VStore: {
                 auto base = static_cast<std::uint64_t>(
                     regs_.sreg(inst.a));
-                panicIf(base + lanes > l1Data_.size(),
+                panicIf(base + lanes > l1Words_,
                         "vstore beyond L1 on '", name(), "'");
+                std::vector<double> &l1 = l1Store();
                 for (unsigned l = 0; l < lanes; ++l)
-                    l1Data_[base + l] = dtypeQuantize(
+                    l1[base + l] = dtypeQuantize(
                         inst.dtype, regs_.vlane(inst.b, l));
                 break;
               }

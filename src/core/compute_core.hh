@@ -16,7 +16,9 @@
  *
  * Kernels are executed functionally (real values flow through the
  * register files and L1), so the same run yields both timing and
- * numerics.
+ * numerics. The functional L1 store is allocated on the first
+ * functional access; until then every word reads 0, so a chip whose
+ * cores only carry timing never pays for it.
  */
 
 #ifndef DTU_CORE_COMPUTE_CORE_HH
@@ -98,6 +100,12 @@ class ComputeCore : public SimObject
     double l1Word(std::uint64_t index) const;
     void setL1Word(std::uint64_t index, double value);
 
+    /** Host bytes backing the functional L1 (0 until first access). */
+    std::size_t l1StorageBytes() const
+    {
+        return l1Data_.size() * sizeof(double);
+    }
+
     /** Descriptor table DmaConfig/DmaLaunch instructions index. */
     void setDescriptorTable(std::vector<DmaDescriptor> descriptors);
 
@@ -127,6 +135,9 @@ class ComputeCore : public SimObject
     void execute(const Instruction &inst, std::size_t &pc, Tick now,
                  RunResult &result, bool &halted);
 
+    /** The functional L1 words, allocated (zeroed) on first use. */
+    std::vector<double> &l1Store();
+
     ClockDomain &clock_;
     CoreConfig config_;
     RegisterFile regs_;
@@ -135,6 +146,9 @@ class ComputeCore : public SimObject
     InstructionCache *icache_;
     SyncEngine *sync_;
     DmaEngine *dma_;
+    /** Functional L1 capacity in words. */
+    std::uint64_t l1Words_;
+    /** Functional L1 contents; empty until l1Store() first runs. */
     std::vector<double> l1Data_;
     std::vector<DmaDescriptor> descriptors_;
     double throttle_ = 0.0;

@@ -8,14 +8,12 @@ namespace dtu
 RegisterFile::RegisterFile(RegFileGeometry geometry)
     : geometry_(geometry),
       scalars_(geometry.scalarRegs, 0.0),
-      vectors_(geometry.vectorRegs,
-               std::vector<double>(geometry.maxLanes, 0.0)),
-      matrices_(geometry.matrixRegs,
-                std::vector<double>(
-                    static_cast<std::size_t>(geometry.matrixRows) *
-                        geometry.maxLanes,
-                    0.0)),
-      accs_(geometry.accRegs, std::vector<double>(geometry.maxLanes, 0.0))
+      vectors_(static_cast<std::size_t>(geometry.vectorRegs) *
+                   geometry.maxLanes,
+               0.0),
+      matrices_(static_cast<std::size_t>(geometry.matrixRegs) *
+                    geometry.matrixRows * geometry.maxLanes,
+                0.0)
 {}
 
 void
@@ -46,6 +44,19 @@ RegisterFile::checkAcc(int i) const
             "accumulation register acc", i, " out of range");
 }
 
+std::size_t
+RegisterFile::laneBase(int reg) const
+{
+    return static_cast<std::size_t>(reg) * geometry_.maxLanes;
+}
+
+std::size_t
+RegisterFile::matrixAt(int reg, unsigned row) const
+{
+    return (static_cast<std::size_t>(reg) * geometry_.matrixRows + row) *
+           geometry_.maxLanes;
+}
+
 double
 RegisterFile::sreg(int i) const
 {
@@ -65,7 +76,7 @@ RegisterFile::vlane(int reg, unsigned lane) const
 {
     checkVector(reg);
     panicIf(lane >= geometry_.maxLanes, "vector lane out of range");
-    return vectors_[static_cast<std::size_t>(reg)][lane];
+    return vectors_[laneBase(reg) + lane];
 }
 
 void
@@ -73,7 +84,7 @@ RegisterFile::setVlane(int reg, unsigned lane, double v)
 {
     checkVector(reg);
     panicIf(lane >= geometry_.maxLanes, "vector lane out of range");
-    vectors_[static_cast<std::size_t>(reg)][lane] = v;
+    vectors_[laneBase(reg) + lane] = v;
 }
 
 std::vector<double>
@@ -81,8 +92,9 @@ RegisterFile::vread(int reg, unsigned lanes) const
 {
     checkVector(reg);
     panicIf(lanes > geometry_.maxLanes, "too many lanes requested");
-    const auto &full = vectors_[static_cast<std::size_t>(reg)];
-    return std::vector<double>(full.begin(), full.begin() + lanes);
+    auto first = vectors_.begin() +
+                 static_cast<std::ptrdiff_t>(laneBase(reg));
+    return std::vector<double>(first, first + lanes);
 }
 
 void
@@ -90,8 +102,8 @@ RegisterFile::vwrite(int reg, const std::vector<double> &lanes)
 {
     checkVector(reg);
     panicIf(lanes.size() > geometry_.maxLanes, "too many lanes written");
-    auto &full = vectors_[static_cast<std::size_t>(reg)];
-    std::copy(lanes.begin(), lanes.end(), full.begin());
+    std::copy(lanes.begin(), lanes.end(),
+              vectors_.begin() + static_cast<std::ptrdiff_t>(laneBase(reg)));
 }
 
 double
@@ -100,8 +112,7 @@ RegisterFile::melem(int reg, unsigned row, unsigned lane) const
     checkMatrix(reg);
     panicIf(row >= geometry_.matrixRows || lane >= geometry_.maxLanes,
             "matrix element out of range");
-    return matrices_[static_cast<std::size_t>(reg)]
-                    [row * geometry_.maxLanes + lane];
+    return matrices_[matrixAt(reg, row) + lane];
 }
 
 void
@@ -110,8 +121,7 @@ RegisterFile::setMelem(int reg, unsigned row, unsigned lane, double v)
     checkMatrix(reg);
     panicIf(row >= geometry_.matrixRows || lane >= geometry_.maxLanes,
             "matrix element out of range");
-    matrices_[static_cast<std::size_t>(reg)]
-             [row * geometry_.maxLanes + lane] = v;
+    matrices_[matrixAt(reg, row) + lane] = v;
 }
 
 void
@@ -121,10 +131,9 @@ RegisterFile::mloadRow(int reg, unsigned row,
     checkMatrix(reg);
     panicIf(row >= geometry_.matrixRows, "matrix row out of range");
     panicIf(lanes.size() > geometry_.maxLanes, "too many lanes in row");
-    for (std::size_t i = 0; i < lanes.size(); ++i)
-        matrices_[static_cast<std::size_t>(reg)]
-                 [row * geometry_.maxLanes + static_cast<unsigned>(i)] =
-            lanes[i];
+    std::copy(lanes.begin(), lanes.end(),
+              matrices_.begin() +
+                  static_cast<std::ptrdiff_t>(matrixAt(reg, row)));
 }
 
 double
@@ -132,7 +141,7 @@ RegisterFile::aclane(int reg, unsigned lane) const
 {
     checkAcc(reg);
     panicIf(lane >= geometry_.maxLanes, "acc lane out of range");
-    return accs_[static_cast<std::size_t>(reg)][lane];
+    return accs_.empty() ? 0.0 : accs_[laneBase(reg) + lane];
 }
 
 void
@@ -140,15 +149,21 @@ RegisterFile::setAclane(int reg, unsigned lane, double v)
 {
     checkAcc(reg);
     panicIf(lane >= geometry_.maxLanes, "acc lane out of range");
-    accs_[static_cast<std::size_t>(reg)][lane] = v;
+    if (accs_.empty())
+        accs_.assign(static_cast<std::size_t>(geometry_.accRegs) *
+                         geometry_.maxLanes,
+                     0.0);
+    accs_[laneBase(reg) + lane] = v;
 }
 
 void
 RegisterFile::accZero(int reg)
 {
     checkAcc(reg);
-    std::fill(accs_[static_cast<std::size_t>(reg)].begin(),
-              accs_[static_cast<std::size_t>(reg)].end(), 0.0);
+    if (accs_.empty())
+        return; // untouched registers already read 0
+    auto first = accs_.begin() + static_cast<std::ptrdiff_t>(laneBase(reg));
+    std::fill(first, first + geometry_.maxLanes, 0.0);
 }
 
 unsigned

@@ -13,6 +13,10 @@
  * The software stack's register allocator avoids such conflicts
  * (Section V-B); the model exposes conflict detection so both the
  * penalty and the allocator's fix can be evaluated.
+ *
+ * Each register kind is one flat array. The accumulation array (512 KiB
+ * on DTU 2.0) is only touched by functional VMM kernels, so it is
+ * allocated on the first write; until then every lane reads 0.
  */
 
 #ifndef DTU_CORE_REGISTER_FILE_HH
@@ -85,6 +89,12 @@ class RegisterFile
     void setAclane(int reg, unsigned lane, double v);
     void accZero(int reg);
 
+    /** Host bytes backing the accumulation registers (0 until written). */
+    std::size_t accStorageBytes() const
+    {
+        return accs_.size() * sizeof(double);
+    }
+
     /** The physical bank a vector register lives in. */
     unsigned vectorBank(int reg) const
     {
@@ -104,11 +114,16 @@ class RegisterFile
     void checkMatrix(int i) const;
     void checkAcc(int i) const;
 
+    /** Flat offset of lane 0 of vector or accumulation register @p reg. */
+    std::size_t laneBase(int reg) const;
+    /** Flat offset of lane 0 of row @p row of matrix register @p reg. */
+    std::size_t matrixAt(int reg, unsigned row) const;
+
     RegFileGeometry geometry_;
     std::vector<double> scalars_;
-    std::vector<std::vector<double>> vectors_;
-    std::vector<std::vector<double>> matrices_; // [reg][row*maxLanes+lane]
-    std::vector<std::vector<double>> accs_;
+    std::vector<double> vectors_;  // [reg][lane]
+    std::vector<double> matrices_; // [reg][row][lane]
+    std::vector<double> accs_;     // [reg][lane]; empty until written
 };
 
 } // namespace dtu

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
 
 #include "core/register_file.hh"
 #include "sim/logging.hh"
@@ -108,24 +110,44 @@ Spu::rawDeriv2(SpuFunc f, double x)
     }
 }
 
-Spu::Spu(unsigned table_entries)
-    : entries_(table_entries)
+Spu::TableSet
+Spu::buildTables(unsigned entries)
 {
-    fatalIf(table_entries < 8, "SPU lookup table needs >= 8 entries");
+    TableSet tables;
     for (int fi = 0; fi < numSpuFuncs; ++fi) {
         auto f = static_cast<SpuFunc>(fi);
-        Table &table = tables_[static_cast<std::size_t>(fi)];
+        Table &table = tables[static_cast<std::size_t>(fi)];
         canonicalRange(f, table.lo, table.hi);
         if (f == SpuFunc::Gelu || f == SpuFunc::Swish)
             continue; // composed ops; no table of their own
-        table.entries.resize(entries_);
-        double h = (table.hi - table.lo) / entries_;
-        for (unsigned i = 0; i < entries_; ++i) {
+        table.entries.resize(entries);
+        double h = (table.hi - table.lo) / entries;
+        for (unsigned i = 0; i < entries; ++i) {
             double x0 = table.lo + (i + 0.5) * h;
             table.entries[i] = {rawFunc(f, x0), rawDeriv1(f, x0),
                                 rawDeriv2(f, x0)};
         }
     }
+    return tables;
+}
+
+std::shared_ptr<const Spu::TableSet>
+Spu::sharedTables(unsigned entries)
+{
+    static std::mutex mutex;
+    static std::map<unsigned, std::shared_ptr<const TableSet>> byEntries;
+    std::lock_guard<std::mutex> lock(mutex);
+    auto &tables = byEntries[entries];
+    if (!tables)
+        tables = std::make_shared<const TableSet>(buildTables(entries));
+    return tables;
+}
+
+Spu::Spu(unsigned table_entries)
+    : entries_(table_entries)
+{
+    fatalIf(table_entries < 8, "SPU lookup table needs >= 8 entries");
+    tables_ = sharedTables(entries_);
 }
 
 double
@@ -145,7 +167,7 @@ Spu::taylor(const Table &table, double x) const
 double
 Spu::evaluate(SpuFunc f, double x) const
 {
-    const Table &table = tables_[static_cast<std::size_t>(f)];
+    const Table &table = (*tables_)[static_cast<std::size_t>(f)];
     switch (f) {
       case SpuFunc::Exp: {
         // x = k*ln2 + r; exp(x) = 2^k * exp(r).

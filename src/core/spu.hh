@@ -10,12 +10,16 @@
  * hardware uses: exponent splitting for log/rsqrt, saturation for
  * tanh/sigmoid, periodic reduction for sin), picks the nearest table
  * segment, and sums the three Taylor terms.
+ *
+ * The tables depend only on the entry count, so every Spu of one size
+ * shares one immutable table set, built once per process on first use.
  */
 
 #ifndef DTU_CORE_SPU_HH
 #define DTU_CORE_SPU_HH
 
 #include <array>
+#include <memory>
 #include <vector>
 
 #include "isa/opcode.hh"
@@ -77,6 +81,17 @@ class Spu
         std::vector<TableEntry> entries;
     };
 
+    using TableSet = std::array<Table, numSpuFuncs>;
+
+    /** Tabulate every function at @p entries samples. */
+    static TableSet buildTables(unsigned entries);
+
+    /**
+     * The process-wide table set for @p entries samples, built on the
+     * first request (thread-safe) and shared by every later caller.
+     */
+    static std::shared_ptr<const TableSet> sharedTables(unsigned entries);
+
     /** Core-range evaluation via the quadratic Taylor polynomial. */
     double taylor(const Table &table, double x) const;
 
@@ -85,7 +100,7 @@ class Spu
     static double rawDeriv2(SpuFunc f, double x);
 
     unsigned entries_;
-    std::array<Table, numSpuFuncs> tables_;
+    std::shared_ptr<const TableSet> tables_;
 };
 
 } // namespace dtu

@@ -15,7 +15,7 @@
 # Tier 4 rebuilds with -DDTU_SANITIZE=thread and runs the tests that
 # exercise the parallel fleet driver (sim/worker_pool.hh) and the
 # calendar event queue: the determinism harness, the fleet/serving
-# suites, and the golden replays. TSan and ASan cannot share a build
+# suites, the golden replays, and concurrent SPU/chip construction. TSan and ASan cannot share a build
 # tree, hence the separate build-tsan/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,8 +32,9 @@ done
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-# Suites covering the parallel fleet path + event queue (tier 4).
-tsan_filter='^(Determinism|EventQueue|EventQueueProperty|FleetTest|GoldenFleet|GoldenLlm|Frontend|LlmServing|SchedulerTest|ServerTest|ServingReportTest|DegradationTest|RequestQueueTest|ServingObserverTest)\.'
+# Suites covering the parallel fleet path, the event queue and the
+# process-wide SPU table cache (tier 4).
+tsan_filter='^(Determinism|EventQueue|EventQueueProperty|FleetTest|GoldenFleet|GoldenLlm|Frontend|LlmServing|SchedulerTest|ServerTest|ServingReportTest|DegradationTest|RequestQueueTest|ServingObserverTest|SpuSharing)\.'
 
 echo "== tier 1: fast tests =="
 cmake -B build -S . >/dev/null
